@@ -46,18 +46,20 @@ func (n *Network) Fused() bool { return !n.unfused }
 // fusedConvPoolLayer executes an eligible conv→pool pair as one fused
 // node: conv epilogue bits OR directly into the pooled output.
 type fusedConvPoolLayer struct {
-	convName, poolName string
-	conv               *core.Conv
-	pool               *core.Pool
-	in                 *bitpack.Packed // the conv's input edge
-	out                *bitpack.Packed // the pool's output edge
+	// lname joins the pair as "conv+pool", computed once at fusion so a
+	// pass does not build it per layer.
+	convName, lname string
+	conv            *core.Conv
+	pool            *core.Pool
+	in              *bitpack.Packed // the conv's input edge
+	out             *bitpack.Packed // the pool's output edge
 	// press selects the kernel-compressed forward (see press.go).
 	press bool
 }
 
-// name joins the pair under a stable "conv+pool" identity so per-layer
-// stats (/statusz, exec observers) stay continuous across reloads.
-func (l *fusedConvPoolLayer) name() string { return l.convName + "+" + l.poolName }
+// name is the pair's stable "conv+pool" identity, so per-layer stats
+// (/statusz, exec observers) stay continuous across reloads.
+func (l *fusedConvPoolLayer) name() string { return l.lname }
 func (l *fusedConvPoolLayer) kind() string { return "conv+pool" }
 func (l *fusedConvPoolLayer) outDims() string {
 	s := l.pool.Shape
@@ -90,7 +92,7 @@ func (n *Network) fuse() {
 			if pl, ok := n.layers[i+1].(*poolLayer); ok &&
 				cl.out == pl.in && cl.op.CanFusePool(pl.op.Shape) {
 				fused = append(fused, &fusedConvPoolLayer{
-					convName: cl.lname, poolName: pl.lname,
+					convName: cl.lname, lname: cl.lname + "+" + pl.lname,
 					conv: cl.op, pool: pl.op,
 					in: cl.in, out: pl.out,
 				})

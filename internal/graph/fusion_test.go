@@ -202,3 +202,26 @@ func TestFusionBatchLanesInheritPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedInferAllocs pins the allocations of one serial pass through
+// the fused TinyVGG. A fused node's name must not be rebuilt per pass
+// just to reach the disarmed fault-injection point (that cost 2 more).
+// The 8 left: the returned logits, the derived exec context, and the
+// per-call dispatch closures of the two fused and one compressed conv.
+func TestFusedInferAllocs(t *testing.T) {
+	net, err := TinyVGG(feat(), RandomWeights{Seed: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Fusion().Pairs == 0 {
+		t.Fatal("TinyVGG fused no conv+pool pair")
+	}
+	net.SetExec(exec.Serial())
+	x := workload.RandTensor(workload.NewRNG(73), 32, 32, 3)
+	net.Infer(x) // warm-up
+	allocs := testing.AllocsPerRun(20, func() { net.Infer(x) })
+	t.Logf("allocs per Infer: %v", allocs)
+	if allocs > 8 {
+		t.Errorf("Infer allocates %v times per pass, want at most 8", allocs)
+	}
+}

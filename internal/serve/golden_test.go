@@ -230,6 +230,26 @@ func TestGoldenErrorBodies(t *testing.T) {
 			exactMsg: `Content-Type "text/plain" not supported; use application/json`,
 		},
 		{
+			name: "415 media type that only starts with application/json",
+			do: func() (*http.Response, error) {
+				return http.Post(ts.URL+"/infer", "application/jsonx", strings.NewReader("{}"))
+			},
+			status:   http.StatusUnsupportedMediaType,
+			code:     "bad_request",
+			exactMsg: `Content-Type "application/jsonx" not supported; use application/json`,
+		},
+		{
+			// Past the media-type check: the body's length is what fails.
+			name: "application/json with a charset parameter is accepted",
+			do: func() (*http.Response, error) {
+				body, _ := json.Marshal(InferRequest{Data: []float32{1, 2, 3}})
+				return http.Post(ts.URL+"/infer", "application/json; charset=utf-8", bytes.NewReader(body))
+			},
+			status:   http.StatusBadRequest,
+			code:     "bad_request",
+			exactMsg: "input has 3 values, model wants 4096 (8x8x64 NHWC)",
+		},
+		{
 			name: "400 malformed JSON",
 			do: func() (*http.Response, error) {
 				return http.Post(ts.URL+"/infer", "application/json", strings.NewReader(`{"data": [1,`))
