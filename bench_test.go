@@ -95,7 +95,7 @@ func benchConvBitFlow(b *testing.B, name string, threads int) {
 	cb := convFor(b, name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb.conv.ForwardPacked(cb.packed, cb.pOut, exec.Threads(threads))
+		cb.conv.ForwardFused([]*bitpack.Packed{cb.packed}, nil, nil, []*bitpack.Packed{cb.pOut}, exec.Threads(threads))
 	}
 }
 
@@ -122,6 +122,7 @@ type denseBench struct {
 	packed  []uint64
 	out     []int32
 	outF    []float32
+	ds      core.DenseScratch
 	wPacked *bitpack.PackedMatrix
 	scratch []uint64
 }
@@ -185,7 +186,7 @@ func benchDenseBitFlow(b *testing.B, name string, threads int) {
 	db := denseFor(b, name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.d.Forward(db.packed, db.out, exec.Threads(threads))
+		db.d.Forward([][]uint64{db.packed}, [][]int32{db.out}, nil, &db.ds, exec.Threads(threads))
 	}
 }
 
@@ -342,7 +343,7 @@ func benchConvWidth(b *testing.B, cap kernels.Width) {
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, plan.Words, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.ForwardPacked(in, out, exec.Serial())
+		cv.ForwardFused([]*bitpack.Packed{in}, nil, nil, []*bitpack.Packed{out}, exec.Serial())
 	}
 }
 
@@ -414,7 +415,7 @@ func BenchmarkAblationZeroCostPad(b *testing.B) {
 		// Producer writes the interior (simulated by the pack), conv
 		// reads through the margins: no copy.
 		bitpack.PackTensorInto(in, packed)
-		cv.ForwardPacked(packed, out, exec.Serial())
+		cv.ForwardFused([]*bitpack.Packed{packed}, nil, nil, []*bitpack.Packed{out}, exec.Serial())
 	}
 }
 
@@ -433,7 +434,7 @@ func BenchmarkAblationCopyPad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		padded := in.PadSpatial(1, -1) // the copy the margins avoid
 		bitpack.PackTensorInto(padded, packed)
-		cv.ForwardPacked(packed, out, exec.Serial())
+		cv.ForwardFused([]*bitpack.Packed{packed}, nil, nil, []*bitpack.Packed{out}, exec.Serial())
 	}
 }
 
@@ -514,7 +515,7 @@ func benchConvThresholds(b *testing.B, withBN bool) {
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, sched.Select(cfg.K, detect()).Words, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.ForwardPacked(in, out, exec.Serial())
+		cv.ForwardFused([]*bitpack.Packed{in}, nil, nil, []*bitpack.Packed{out}, exec.Serial())
 	}
 }
 
@@ -560,7 +561,7 @@ func BenchmarkAblationFirstLayerBinary(b *testing.B) {
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, 64, 1, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.ForwardPacked(in, out, exec.Serial())
+		cv.ForwardFused([]*bitpack.Packed{in}, nil, nil, []*bitpack.Packed{out}, exec.Serial())
 	}
 }
 

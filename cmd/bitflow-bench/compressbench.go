@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"bitflow/internal/bench"
+	"bitflow/internal/exec"
 	"bitflow/internal/graph"
 	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
@@ -130,9 +131,8 @@ func runCompressBench(feat sched.Features) error {
 		if err != nil {
 			return err
 		}
-		pressed.Threads = threads
+		pressed.SetExec(exec.Threads(threads))
 		plain := pressed.CloneUncompressed()
-		plain.Threads = threads
 
 		x := workload.RandTensor(workload.NewRNG(*flagSeed+13), pressed.InH, pressed.InW, pressed.InC)
 		if err := checkPlansAgree(pressed, plain, x); err != nil {

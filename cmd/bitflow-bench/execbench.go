@@ -229,7 +229,8 @@ func buildExecRunner(cfg workload.OpConfig, feat sched.Features, seed uint64) (f
 		packed := cv.NewInput()
 		bitpack.PackTensorInto(workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C), packed)
 		out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, sched.Select(cfg.K, feat).Words, 0, 0)
-		return func(ec *exec.Ctx) { cv.ForwardPacked(packed, out, ec) }, nil
+		ins, outs := []*bitpack.Packed{packed}, []*bitpack.Packed{out}
+		return func(ec *exec.Ctx) { cv.ForwardFused(ins, nil, nil, outs, ec) }, nil
 
 	case workload.OpFC:
 		shape, err := sched.InferFC(cfg.N, cfg.K)
@@ -247,8 +248,9 @@ func buildExecRunner(cfg workload.OpConfig, feat sched.Features, seed uint64) (f
 			inVals[i] = r.PM1()
 		}
 		bitpack.PackVectorInto(packedIn, inVals)
-		out := make([]int32, cfg.K)
-		return func(ec *exec.Ctx) { d.Forward(packedIn, out, ec) }, nil
+		ins, outs := [][]uint64{packedIn}, [][]int32{make([]int32, cfg.K)}
+		var scratch core.DenseScratch
+		return func(ec *exec.Ctx) { d.Forward(ins, outs, nil, &scratch, ec) }, nil
 
 	case workload.OpPool:
 		shape, err := sched.InferPool(cfg.H, cfg.W, cfg.C, cfg.KH, cfg.KW, cfg.Stride)

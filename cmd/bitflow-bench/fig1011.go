@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bitflow/internal/bench"
+	"bitflow/internal/exec"
 	"bitflow/internal/gpusim"
 	"bitflow/internal/graph"
 	"bitflow/internal/paperdata"
@@ -89,7 +90,7 @@ func runFig11(feat sched.Features) error {
 		if err != nil {
 			return err
 		}
-		net.Threads = threads
+		net.SetExec(exec.Threads(threads))
 		x := workload.RandTensor(workload.NewRNG(*flagSeed), net.InH, net.InW, net.InC)
 		// Drop the build's transient float weights before timing —
 		// their collection otherwise pollutes the first samples.

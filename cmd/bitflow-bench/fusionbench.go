@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"bitflow/internal/bench"
+	"bitflow/internal/exec"
 	"bitflow/internal/graph"
 	"bitflow/internal/sched"
 	"bitflow/internal/tensor"
@@ -101,9 +102,8 @@ func runFusionBench(feat sched.Features) error {
 		if err != nil {
 			return err
 		}
-		fused.Threads = threads
+		fused.SetExec(exec.Threads(threads))
 		unfused := fused.CloneUnfused()
-		unfused.Threads = threads
 
 		x := workload.RandTensor(workload.NewRNG(*flagSeed+7), fused.InH, fused.InW, fused.InC)
 		if err := checkPlansAgree(fused, unfused, x); err != nil {

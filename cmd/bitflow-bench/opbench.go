@@ -62,7 +62,8 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		bitpack.PackTensorInto(in, packed)
 		outPlan := sched.Select(cfg.K, feat)
 		pOut := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, outPlan.Words, 0, 0)
-		or.bitflow = func(threads int) { cv.ForwardPacked(packed, pOut, exec.Threads(threads)) }
+		ins, outs := []*bitpack.Packed{packed}, []*bitpack.Packed{pOut}
+		or.bitflow = func(threads int) { cv.ForwardFused(ins, nil, nil, outs, exec.Threads(threads)) }
 
 		bim := baseline.NewBinaryIm2colConv(filt, cfg.Stride, cfg.Pad)
 		or.unopt = func(threads int) { bim.Forward(in, threads) }
@@ -90,8 +91,9 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		}
 		packedIn := d.NewInput()
 		bitpack.PackVectorInto(packedIn, inVals)
-		out := make([]int32, cfg.K)
-		or.bitflow = func(threads int) { d.Forward(packedIn, out, exec.Threads(threads)) }
+		ins, outs := [][]uint64{packedIn}, [][]int32{make([]int32, cfg.K)}
+		var scratch core.DenseScratch
+		or.bitflow = func(threads int) { d.Forward(ins, outs, nil, &scratch, exec.Threads(threads)) }
 
 		// Unoptimized binary fc: pack the activation vector at run time
 		// (no fused transform pre-staging for activations), then a

@@ -75,5 +75,6 @@ func measureConvPlan(c int, plan sched.Plan) (time.Duration, error) {
 	in := cv.NewInput()
 	bitpack.PackTensorInto(workload.PM1Tensor(r, 28, 28, c), in)
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, 64, 1, 0, 0)
-	return measure(func(threads int) { cv.ForwardPacked(in, out, exec.Threads(threads)) }, 1), nil
+	ins, outs := []*bitpack.Packed{in}, []*bitpack.Packed{out}
+	return measure(func(threads int) { cv.ForwardFused(ins, nil, nil, outs, exec.Threads(threads)) }, 1), nil
 }

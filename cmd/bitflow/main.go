@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"bitflow/internal/bench"
+	"bitflow/internal/exec"
 	"bitflow/internal/graph"
 	"bitflow/internal/sched"
 	"bitflow/internal/trace"
@@ -63,7 +64,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bitflow: %v\n", err)
 		os.Exit(1)
 	}
-	net.Threads = *flagThreads
+	net.SetExec(exec.Threads(*flagThreads))
 
 	if *flagSave != "" {
 		f, ferr := os.Create(*flagSave)
@@ -88,7 +89,7 @@ func main() {
 		net.Name, len(net.Layers()), ms.Weights,
 		float64(ms.BinarizedBytes)/(1<<20), ms.Compression(),
 		float64(net.ActivationBytes())/(1<<20))
-	fmt.Printf("scheduler: %s; threads: %d\n\n", feat, net.Threads)
+	fmt.Printf("scheduler: %s; threads: %d\n\n", feat, *flagThreads)
 
 	x := workload.RandTensor(workload.NewRNG(*flagSeed+1), net.InH, net.InW, net.InC)
 	net.Infer(x) // warm-up

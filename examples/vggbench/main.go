@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.Threads = *flagThreads
+	net.SetExec(bitflow.Pooled(bitflow.ExecDefault(), *flagThreads))
 	ms := net.ModelSize()
 	fmt.Printf("loaded %s in %v: %.1f MB packed weights (%.1fx compression), %.1f MB activations pre-allocated\n",
 		net.Name, time.Since(t0).Round(time.Millisecond),
@@ -57,7 +57,7 @@ func main() {
 
 	net.Infer(frames[0]) // warm-up
 
-	fmt.Printf("\nprocessing %d frames with a %v budget, %d thread(s):\n", len(frames), *flagBudget, net.Threads)
+	fmt.Printf("\nprocessing %d frames with a %v budget, %d thread(s):\n", len(frames), *flagBudget, *flagThreads)
 	var worst time.Duration
 	var missed int
 	for i, f := range frames {

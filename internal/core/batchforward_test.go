@@ -9,8 +9,8 @@ import (
 	"bitflow/internal/workload"
 )
 
-// TestConvForwardPackedBatchBitIdentical pins the batched conv to the
-// sequential one, with and without folded thresholds, across batch sizes
+// TestConvForwardPackedBatchBitIdentical pins the gathered batch step of
+// ForwardFused (B > 1) to the B = 1 row step run image by image, with and without folded thresholds, across batch sizes
 // and both kernel tiers exercised by the VGG-style shapes.
 func TestConvForwardPackedBatchBitIdentical(t *testing.T) {
 	feat := sched.Detect()
@@ -53,9 +53,9 @@ func TestConvForwardPackedBatchBitIdentical(t *testing.T) {
 					outs[b] = bitpack.NewPacked(shape.OutH, shape.OutW, g.k, outWords, 1, 1)
 					want[b] = bitpack.NewPacked(shape.OutH, shape.OutW, g.k, outWords, 1, 1)
 				}
-				cv.ForwardPackedBatch(ins, outs, exec.Serial())
+				cv.ForwardFused(ins, nil, nil, outs, exec.Serial())
 				for b := 0; b < B; b++ {
-					cv.ForwardPacked(ins[b], want[b], exec.Serial())
+					cv.ForwardFused(ins[b:b+1], nil, nil, want[b:b+1], exec.Serial())
 					for i := range want[b].Words {
 						if outs[b].Words[i] != want[b].Words[i] {
 							t.Fatalf("B=%d image %d word %d: batched differs from sequential", B, b, i)
@@ -70,8 +70,8 @@ func TestConvForwardPackedBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDenseBatchBitIdentical pins the batched dense paths (packed and
-// float, with thresholds/affine) to the sequential ones.
+// TestDenseBatchBitIdentical pins the batched dense forwards (packed and
+// float, with thresholds/affine) to the same forwards run image by image.
 func TestDenseBatchBitIdentical(t *testing.T) {
 	feat := sched.Detect()
 	r := workload.NewRNG(78)
@@ -118,9 +118,9 @@ func TestDenseBatchBitIdentical(t *testing.T) {
 			outs[b] = make([]uint64, bitpack.WordsFor(K))
 			want[b] = make([]uint64, bitpack.WordsFor(K))
 		}
-		d.ForwardPackedBatch(ins, outs, &DenseBatchScratch{}, exec.Serial())
+		d.ForwardPacked(ins, outs, nil, &DenseScratch{}, exec.Serial())
 		for b := 0; b < B; b++ {
-			d.ForwardPacked(ins[b], want[b], d.NewScratch(), exec.Serial())
+			d.ForwardPacked(ins[b:b+1], want[b:b+1], nil, &DenseScratch{}, exec.Serial())
 			for i := range want[b] {
 				if outs[b][i] != want[b][i] {
 					t.Fatalf("packed B=%d image %d word %d differs", B, b, i)
@@ -133,9 +133,9 @@ func TestDenseBatchBitIdentical(t *testing.T) {
 		for b := 0; b < B; b++ {
 			foutsB[b] = make([]float32, K)
 		}
-		d.ForwardFloatBatch(ins, foutsB, &DenseBatchScratch{}, exec.Serial())
+		d.ForwardFloat(ins, foutsB, nil, &DenseScratch{}, exec.Serial())
 		for b := 0; b < B; b++ {
-			d.ForwardFloat(ins[b], fwant, d.NewScratch(), exec.Serial())
+			d.ForwardFloat(ins[b:b+1], [][]float32{fwant}, nil, &DenseScratch{}, exec.Serial())
 			for i := range fwant {
 				if foutsB[b][i] != fwant[i] {
 					t.Fatalf("float B=%d image %d logit %d differs", B, b, i)

@@ -48,6 +48,9 @@ func equalPacked(t testing.TB, label string, want, got *bitpack.Packed) {
 	}
 }
 
+// one wraps a single packed plane as a batch of one.
+func one(p *bitpack.Packed) []*bitpack.Packed { return []*bitpack.Packed{p} }
+
 // buildDupConv is buildConv with an optional duplicated filter bank.
 func buildDupConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw int, bases int) (*Conv, *bitpack.Packed) {
 	t.Helper()
@@ -97,8 +100,8 @@ func TestCompressionAutoSelection(t *testing.T) {
 }
 
 // TestConvCompressedMatchesUncompressed is the core differential pin:
-// forced-compressed ForwardPacked/ForwardFused output equals the
-// uncompressed path word for word, on high- and low-duplication banks,
+// ForwardFused through a forced compression plan equals the streaming
+// path word for word, without and with a fused pool, on high- and low-duplication banks,
 // with and without folded thresholds, serial and threaded.
 func TestConvCompressedMatchesUncompressed(t *testing.T) {
 	r := workload.NewRNG(201)
@@ -130,8 +133,8 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 			want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-				cv.ForwardPacked(in, want, ec)
-				cv.ForwardPackedCompressed(in, got, ec)
+				cv.ForwardFused(one(in), nil, nil, one(want), ec)
+				cv.ForwardFused(one(in), nil, cv.Compression(), one(got), ec)
 				equalPacked(t, tc.name+"/packed", want, got)
 			}
 			// Fused conv→pool, when the pool geometry is eligible.
@@ -146,16 +149,16 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 			fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 1, 1)
 			fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-				cv.ForwardFused(in, pl, fwant, ec)
-				cv.ForwardFusedCompressed(in, pl, fgot, ec)
+				cv.ForwardFused(one(in), pl, nil, one(fwant), ec)
+				cv.ForwardFused(one(in), pl, cv.Compression(), one(fgot), ec)
 				equalPacked(t, tc.name+"/fused", fwant, fgot)
 			}
 		}
 	}
 }
 
-// TestConvCompressedBatchMatches pins the batched compressed paths
-// against their uncompressed twins for B = 1..4.
+// TestConvCompressedBatchMatches pins ForwardFused through the plan
+// against the streaming path for B = 1..4, without and with a pool.
 func TestConvCompressedBatchMatches(t *testing.T) {
 	r := workload.NewRNG(202)
 	cv, _ := buildDupConv(t, r, 8, 8, 64, 48, 3, 3, 4)
@@ -188,13 +191,13 @@ func TestConvCompressedBatchMatches(t *testing.T) {
 			gotF[b] = bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
 		}
 		for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-			cv.ForwardPackedBatch(ins, wantP, ec)
-			cv.ForwardPackedBatchCompressed(ins, gotP, ec)
+			cv.ForwardFused(ins, nil, nil, wantP, ec)
+			cv.ForwardFused(ins, nil, cv.Compression(), gotP, ec)
 			for b := 0; b < B; b++ {
 				equalPacked(t, "packed", wantP[b], gotP[b])
 			}
-			cv.ForwardFusedBatch(ins, pl, wantF, ec)
-			cv.ForwardFusedBatchCompressed(ins, pl, gotF, ec)
+			cv.ForwardFused(ins, pl, nil, wantF, ec)
+			cv.ForwardFused(ins, pl, cv.Compression(), gotF, ec)
 			for b := 0; b < B; b++ {
 				equalPacked(t, "fused", wantF[b], gotF[b])
 			}
@@ -202,9 +205,9 @@ func TestConvCompressedBatchMatches(t *testing.T) {
 	}
 }
 
-// TestDenseCompressedMatches pins every compressed dense entry point —
-// int32, float (with affine), packed, and their batched forms — against
-// the uncompressed paths.
+// TestDenseCompressedMatches pins every dense forward through the plan —
+// int32, float (with affine) and packed, at B = 1 and B = 5 — against
+// the streaming weights.
 func TestDenseCompressedMatches(t *testing.T) {
 	r := workload.NewRNG(203)
 	n, k := 256, 70
@@ -249,69 +252,39 @@ func TestDenseCompressedMatches(t *testing.T) {
 		ins[b] = d.NewInput()
 		bitpack.PackVectorInto(ins[b], vals)
 	}
+	cp := d.Compression()
 	for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-		want, got := make([]int32, k), make([]int32, k)
-		d.Forward(ins[0], want, ec)
-		d.ForwardCompressed(ins[0], got, ec)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("ForwardCompressed[%d]=%d want %d", i, got[i], want[i])
+		for _, m := range []int{1, B} {
+			var sw, sg DenseScratch
+			wOuts, gOuts := make([][]int32, m), make([][]int32, m)
+			wfB, gfB := make([][]float32, m), make([][]float32, m)
+			wpB, gpB := make([][]uint64, m), make([][]uint64, m)
+			for b := 0; b < m; b++ {
+				wOuts[b], gOuts[b] = make([]int32, k), make([]int32, k)
+				wfB[b], gfB[b] = make([]float32, k), make([]float32, k)
+				wpB[b], gpB[b] = make([]uint64, bitpack.WordsFor(k)), make([]uint64, bitpack.WordsFor(k))
 			}
-		}
-		wf, gf := make([]float32, k), make([]float32, k)
-		d.ForwardFloat(ins[0], wf, d.NewScratch(), ec)
-		d.ForwardFloatCompressed(ins[0], gf, d.NewScratch(), ec)
-		for i := range wf {
-			if wf[i] != gf[i] {
-				t.Fatalf("ForwardFloatCompressed[%d]=%v want %v", i, gf[i], wf[i])
-			}
-		}
-		wp := make([]uint64, bitpack.WordsFor(k))
-		gp := make([]uint64, bitpack.WordsFor(k))
-		d.ForwardPacked(ins[0], wp, d.NewScratch(), ec)
-		d.ForwardPackedCompressed(ins[0], gp, d.NewScratch(), ec)
-		for i := range wp {
-			if wp[i] != gp[i] {
-				t.Fatalf("ForwardPackedCompressed word %d = %016x want %016x", i, gp[i], wp[i])
-			}
-		}
-		// Batched forms.
-		var sw, sg DenseBatchScratch
-		wOuts := make([][]int32, B)
-		gOuts := make([][]int32, B)
-		for b := 0; b < B; b++ {
-			wOuts[b], gOuts[b] = make([]int32, k), make([]int32, k)
-		}
-		d.ForwardBatch(ins, wOuts, &sw, ec)
-		d.ForwardBatchCompressed(ins, gOuts, &sg, ec)
-		for b := 0; b < B; b++ {
-			for i := range wOuts[b] {
-				if wOuts[b][i] != gOuts[b][i] {
-					t.Fatalf("batch item %d: ForwardBatchCompressed[%d]=%d want %d", b, i, gOuts[b][i], wOuts[b][i])
+			d.Forward(ins[:m], wOuts, nil, &sw, ec)
+			d.Forward(ins[:m], gOuts, cp, &sg, ec)
+			d.ForwardFloat(ins[:m], wfB, nil, &sw, ec)
+			d.ForwardFloat(ins[:m], gfB, cp, &sg, ec)
+			d.ForwardPacked(ins[:m], wpB, nil, &sw, ec)
+			d.ForwardPacked(ins[:m], gpB, cp, &sg, ec)
+			for b := 0; b < m; b++ {
+				for i := range wOuts[b] {
+					if wOuts[b][i] != gOuts[b][i] {
+						t.Fatalf("B=%d item %d: compressed Forward[%d]=%d want %d", m, b, i, gOuts[b][i], wOuts[b][i])
+					}
 				}
-			}
-		}
-		wfB := make([][]float32, B)
-		gfB := make([][]float32, B)
-		wpB := make([][]uint64, B)
-		gpB := make([][]uint64, B)
-		for b := 0; b < B; b++ {
-			wfB[b], gfB[b] = make([]float32, k), make([]float32, k)
-			wpB[b], gpB[b] = make([]uint64, bitpack.WordsFor(k)), make([]uint64, bitpack.WordsFor(k))
-		}
-		d.ForwardFloatBatch(ins, wfB, &sw, ec)
-		d.ForwardFloatBatchCompressed(ins, gfB, &sg, ec)
-		d.ForwardPackedBatch(ins, wpB, &sw, ec)
-		d.ForwardPackedBatchCompressed(ins, gpB, &sg, ec)
-		for b := 0; b < B; b++ {
-			for i := range wfB[b] {
-				if wfB[b][i] != gfB[b][i] {
-					t.Fatalf("batch item %d: float logit %d differs", b, i)
+				for i := range wfB[b] {
+					if wfB[b][i] != gfB[b][i] {
+						t.Fatalf("B=%d item %d: compressed float logit %d = %v want %v", m, b, i, gfB[b][i], wfB[b][i])
+					}
 				}
-			}
-			for i := range wpB[b] {
-				if wpB[b][i] != gpB[b][i] {
-					t.Fatalf("batch item %d: packed word %d differs", b, i)
+				for i := range wpB[b] {
+					if wpB[b][i] != gpB[b][i] {
+						t.Fatalf("B=%d item %d: compressed packed word %d = %016x want %016x", m, b, i, gpB[b][i], wpB[b][i])
+					}
 				}
 			}
 		}
@@ -341,25 +314,29 @@ func TestSetCompressionValidates(t *testing.T) {
 	}
 }
 
-// FuzzCompressedConv is the differential fuzz harness: arbitrary
-// geometries and weight banks — including adversarially low- and
-// high-duplication ones — must produce compressed output equal to the
-// uncompressed PressedConv word for word, packed and fused. The seed
-// corpus pins an all-words-identical bank (every filter the same, one
-// distinct word per position) and an all-words-distinct one.
+// FuzzCompressedConv is the differential fuzz harness over the whole
+// ForwardFused product: arbitrary geometries, weight banks — including
+// adversarially low- and high-duplication ones — and batch sizes 1..4.
+// Each iteration checks that the plan's output equals the streaming
+// output word for word, with and without a fused pool, and that every
+// image of a B > 1 call (the gathered step) equals its own B = 1 call
+// (the row step). The seed corpus pins an all-words-identical bank
+// (every filter the same, one distinct word per position) and an
+// all-words-distinct one.
 func FuzzCompressedConv(f *testing.F) {
 	// seed, h, w, c, k, bases (0 = independent random filters,
-	// 1 = all filters identical), withThresholds.
-	f.Add(uint64(1), uint8(8), uint8(8), uint8(64), uint8(32), uint8(1), true)  // all words identical
-	f.Add(uint64(2), uint8(8), uint8(8), uint8(255), uint8(16), uint8(0), true) // wide random: words distinct
-	f.Add(uint64(3), uint8(6), uint8(9), uint8(3), uint8(40), uint8(0), false)  // conv1.1-style low channel
-	f.Add(uint64(4), uint8(9), uint8(7), uint8(100), uint8(33), uint8(3), true) // ragged + 3 bases
-	f.Add(uint64(5), uint8(5), uint8(5), uint8(64), uint8(1), uint8(0), false)  // single filter
-	f.Fuzz(func(t *testing.T, seed uint64, hh, ww, cc, kk, bb uint8, withTh bool) {
+	// 1 = all filters identical), withThresholds, batch (B = batch%4+1).
+	f.Add(uint64(1), uint8(8), uint8(8), uint8(64), uint8(32), uint8(1), true, uint8(0))  // all words identical
+	f.Add(uint64(2), uint8(8), uint8(8), uint8(255), uint8(16), uint8(0), true, uint8(1)) // wide random: words distinct
+	f.Add(uint64(3), uint8(6), uint8(9), uint8(3), uint8(40), uint8(0), false, uint8(2))  // conv1.1-style low channel
+	f.Add(uint64(4), uint8(9), uint8(7), uint8(100), uint8(33), uint8(3), true, uint8(3)) // ragged + 3 bases
+	f.Add(uint64(5), uint8(5), uint8(5), uint8(64), uint8(1), uint8(0), false, uint8(1))  // single filter
+	f.Fuzz(func(t *testing.T, seed uint64, hh, ww, cc, kk, bb uint8, withTh bool, batch uint8) {
 		h := int(hh)%8 + 3
 		w := int(ww)%8 + 3
 		c := int(cc)%200 + 1
 		k := int(kk)%72 + 1
+		B := int(batch)%4 + 1
 		bases := 0
 		if bb > 0 {
 			bases = int(bb)%k + 1
@@ -384,26 +361,53 @@ func FuzzCompressedConv(f *testing.F) {
 			}
 		}
 		forcePlan(t, cv)
-		in := workload.PM1Tensor(r, h, w, c)
-		packed := cv.NewInput()
-		bitpack.PackTensorInto(in, packed)
+		cp := cv.Compression()
+		ins := make([]*bitpack.Packed, B)
+		for b := range ins {
+			ins[b] = cv.NewInput()
+			bitpack.PackTensorInto(workload.PM1Tensor(r, h, w, c), ins[b])
+		}
 		s := cv.Shape
 		wpp := sched.Select(k, feat()).Words
-		want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
-		got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
-		cv.ForwardPacked(packed, want, exec.Serial())
-		cv.ForwardPackedCompressed(packed, got, exec.Serial())
-		equalPacked(t, "packed", want, got)
+		pools := []*Pool{nil}
 		if ps, err := sched.InferPool(s.OutH, s.OutW, s.OutC, 2, 2, 2); err == nil && cv.CanFusePool(ps) {
 			pl, err := NewPool(ps, wpp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
-			fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
-			cv.ForwardFused(packed, pl, fwant, exec.Serial())
-			cv.ForwardFusedCompressed(packed, pl, fgot, exec.Serial())
-			equalPacked(t, "fused", fwant, fgot)
+			pools = append(pools, pl)
+		}
+		for _, pl := range pools {
+			label, oh, ow := "packed", s.OutH, s.OutW
+			if pl != nil {
+				label, oh, ow = "fused", pl.Shape.OutH, pl.Shape.OutW
+			}
+			newOuts := func(n int) []*bitpack.Packed {
+				outs := make([]*bitpack.Packed, n)
+				for b := range outs {
+					outs[b] = bitpack.NewPacked(oh, ow, k, wpp, 0, 0)
+				}
+				return outs
+			}
+			want, got := newOuts(B), newOuts(B)
+			cv.ForwardFused(ins, pl, nil, want, exec.Serial())
+			cv.ForwardFused(ins, pl, cp, got, exec.Serial())
+			for b := range ins {
+				equalPacked(t, label, want[b], got[b])
+			}
+			if B == 1 {
+				continue
+			}
+			for _, run := range []struct {
+				cp      *kernels.CompressPlan
+				batched []*bitpack.Packed
+			}{{nil, want}, {cp, got}} {
+				for b := range ins {
+					single := newOuts(1)
+					cv.ForwardFused(ins[b:b+1], pl, run.cp, single, exec.Serial())
+					equalPacked(t, label+" B=1 vs batch", single[0], run.batched[b])
+				}
+			}
 		}
 	})
 }

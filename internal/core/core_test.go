@@ -120,7 +120,7 @@ func TestForwardPackedIsSignOfForward(t *testing.T) {
 		cv.Forward(packed, raw, exec.Threads(2))
 		outPlan := sched.Select(cv.Shape.OutC, feat())
 		pOut := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, outPlan.Words, 1, 1)
-		cv.ForwardPacked(packed, pOut, exec.Threads(2))
+		cv.ForwardFused([]*bitpack.Packed{packed}, nil, nil, []*bitpack.Packed{pOut}, exec.Threads(2))
 		want := raw.Sign()
 		got := bitpack.Unpack(pOut)
 		if !got.Equal(want) {
@@ -298,7 +298,7 @@ func TestDenseMatchesFloatReference(t *testing.T) {
 		in := d.NewInput()
 		bitpack.PackVectorInto(in, inVals)
 		got := make([]int32, tc.k)
-		d.Forward(in, got, exec.Serial())
+		d.Forward([][]uint64{in}, [][]int32{got}, nil, &DenseScratch{}, exec.Serial())
 		want := make([]float32, tc.k)
 		baseline.DenseFloat(inVals, w, want, 1)
 		for i := range want {
@@ -324,10 +324,10 @@ func TestDenseForwardVariants(t *testing.T) {
 	bitpack.PackVectorInto(in, inVals)
 
 	ints := make([]int32, k)
-	d.Forward(in, ints, exec.Threads(2))
+	d.Forward([][]uint64{in}, [][]int32{ints}, nil, &DenseScratch{}, exec.Threads(2))
 
 	floats := make([]float32, k)
-	d.ForwardFloat(in, floats, d.NewScratch(), exec.Threads(2))
+	d.ForwardFloat([][]uint64{in}, [][]float32{floats}, nil, &DenseScratch{}, exec.Threads(2))
 	for i := range ints {
 		if floats[i] != float32(ints[i]) {
 			t.Fatalf("ForwardFloat[%d] = %v want %v", i, floats[i], ints[i])
@@ -335,7 +335,7 @@ func TestDenseForwardVariants(t *testing.T) {
 	}
 
 	packedOut := make([]uint64, bitpack.WordsFor(k)+1)
-	d.ForwardPacked(in, packedOut, d.NewScratch(), exec.Threads(2))
+	d.ForwardPacked([][]uint64{in}, [][]uint64{packedOut}, nil, &DenseScratch{}, exec.Threads(2))
 	back := bitpack.UnpackVector(packedOut, k)
 	for i := range ints {
 		want := float32(1)

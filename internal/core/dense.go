@@ -21,8 +21,8 @@ type Dense struct {
 	weights *bitpack.PackedMatrix // K rows × Plan.Words, fused transform
 	// act is the folded activation of the packed path; nil = plain sign.
 	act *Thresholds
-	// epi is act pre-compiled into the branchless fused epilogue packSigns
-	// runs; rebuilt by SetThresholds, never per inference.
+	// epi is act pre-compiled into the branchless fused epilogue
+	// ForwardPacked runs; rebuilt by SetThresholds, never per inference.
 	epi *kernels.Epilogue
 	// affine post-processes the float path (ForwardFloat); nil = raw
 	// inner products.
@@ -105,54 +105,102 @@ func (d *Dense) OutAffine() *Affine { return d.affine }
 // NewInput allocates a packed activation row for this operator.
 func (d *Dense) NewInput() []uint64 { return make([]uint64, d.Plan.Words) }
 
-// NewScratch allocates the K-length pre-activation scratch ForwardFloat
-// and ForwardPacked require. Allocate once at build time and reuse per
-// call — the per-inference path itself stays allocation-free.
-func (d *Dense) NewScratch() []int32 { return make([]int32, d.Shape.K) }
+// DenseScratch is the caller-owned staging the dense forwards share:
+// the B×Words activation block bgemm reads when B > 1 (a single image
+// is read in place) and the B×K int32 products every sink reads. It
+// only ever grows: size it once to the max batch with Ensure and the
+// forwards allocate nothing afterwards.
+type DenseScratch struct {
+	a    []uint64
+	prod []int32
+}
 
-// Forward computes the K inner products of the packed activation row in
-// (Plan.Words words, N valid bits) into out (len K). ec splits the
-// K dimension.
-func (d *Dense) Forward(in []uint64, out []int32, ec *exec.Ctx) {
-	if len(in) != d.Plan.Words {
-		panic(fmt.Sprintf("core: dense input %d words, want %d", len(in), d.Plan.Words))
+// Ensure grows the scratch to serve batches of up to B images of d.
+func (s *DenseScratch) Ensure(d *Dense, B int) {
+	if need := B * d.Plan.Words; B > 1 && cap(s.a) < need {
+		s.a = make([]uint64, need)
 	}
-	if len(out) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense output len %d, want K=%d", len(out), d.Shape.K))
+	if need := B * d.Shape.K; cap(s.prod) < need {
+		s.prod = make([]int32, need)
 	}
-	opts := kernels.BGemmOpts{Kernel: d.Plan.Kernel}
-	kernels.BGemmExec(in, 1, d.weights.Words, d.Shape.K, d.Plan.Words, d.Shape.N, out, opts, ec)
+}
+
+// accumulate is the shared accumulate of the dense forwards: the K inner
+// products of each of the B = len(ins) packed activation rows (Plan.Words
+// words, N valid bits), computed by one bgemm with M = B so every packed
+// weight row streams through the cache once per batch. cp nil streams
+// the packed weights; a plan pays one XOR+popcount per distinct weight
+// word. It returns the B×K products, image-major, held in s. ec splits
+// the K dimension.
+func (d *Dense) accumulate(ins [][]uint64, nOut int, cp *kernels.CompressPlan, s *DenseScratch, ec *exec.Ctx) []int32 {
+	B := len(ins)
+	if B == 0 || nOut != B {
+		panic(fmt.Sprintf("core: dense batch %d inputs, %d outputs", B, nOut))
+	}
+	W, K := d.Plan.Words, d.Shape.K
+	for b, in := range ins {
+		if len(in) != W {
+			panic(fmt.Sprintf("core: dense input %d has %d words, want %d", b, len(in), W))
+		}
+	}
+	if cp != nil && (cp.K != K || cp.S != W) {
+		panic(fmt.Sprintf("core: compression plan %dx%d does not match dense bank %dx%d", cp.K, cp.S, K, W))
+	}
+	s.Ensure(d, B) //bitflow:alloc-ok grow-only, a no-op once sized; graph sizes it when it wires the lanes
+	a := ins[0]
+	if B > 1 {
+		a = s.a[:B*W]
+		for b, in := range ins {
+			copy(a[b*W:(b+1)*W], in)
+		}
+	}
+	prod := s.prod[:B*K]
+	if cp != nil {
+		kernels.BGemmCompressedExec(a, B, cp, W, d.Shape.N, prod, ec)
+	} else {
+		kernels.BGemmExec(a, B, d.weights.Words, K, W, d.Shape.N, prod, kernels.BGemmOpts{Kernel: d.Plan.Kernel}, ec)
+	}
+	return prod
+}
+
+// Forward computes the K inner products of each packed activation row
+// ins[b] into outs[b] (len K). cp, s and ec are as for accumulate.
+func (d *Dense) Forward(ins [][]uint64, outs [][]int32, cp *kernels.CompressPlan, s *DenseScratch, ec *exec.Ctx) {
+	prod := d.accumulate(ins, len(outs), cp, s, ec)
+	K := d.Shape.K
+	for b, out := range outs {
+		if len(out) != K {
+			panic(fmt.Sprintf("core: dense output %d has len %d, want K=%d", b, len(out), K))
+		}
+		copy(out, prod[b*K:(b+1)*K])
+	}
 }
 
 // ForwardFloat is Forward plus a float conversion and the optional
 // affine (batch-norm/bias) post-processing — the final classifier path.
-// tmp is caller-owned pre-activation scratch (len K, see NewScratch), so
-// repeated inferences allocate nothing.
-func (d *Dense) ForwardFloat(in []uint64, out []float32, tmp []int32, ec *exec.Ctx) {
-	if len(tmp) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense scratch len %d, want K=%d", len(tmp), d.Shape.K))
-	}
-	d.Forward(in, tmp, ec)
-	if d.affine != nil {
-		d.affine.Apply(tmp, out)
-		return
-	}
-	for i, v := range tmp {
-		out[i] = float32(v)
+func (d *Dense) ForwardFloat(ins [][]uint64, outs [][]float32, cp *kernels.CompressPlan, s *DenseScratch, ec *exec.Ctx) {
+	prod := d.accumulate(ins, len(outs), cp, s, ec)
+	K := d.Shape.K
+	for b, out := range outs {
+		p := prod[b*K : (b+1)*K]
+		if d.affine != nil {
+			d.affine.Apply(p, out)
+			continue
+		}
+		for i, v := range p {
+			out[i] = float32(v)
+		}
 	}
 }
 
-// ForwardPacked computes the K inner products and writes their sign bits
-// into out (≥ WordsFor(K) words, trailing lanes cleared) — the fused
-// activation for fc→fc chains (fc6 → sign → fc7). tmp is caller-owned
-// pre-activation scratch (len K, see NewScratch).
-func (d *Dense) ForwardPacked(in []uint64, out []uint64, tmp []int32, ec *exec.Ctx) {
-	if len(tmp) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense scratch len %d, want K=%d", len(tmp), d.Shape.K))
+// ForwardPacked computes the K inner products and writes their sign (or
+// folded threshold) bits into outs[b] (≥ WordsFor(K) words, trailing
+// lanes cleared) — the fused activation for fc→fc chains (fc6 → sign →
+// fc7).
+func (d *Dense) ForwardPacked(ins, outs [][]uint64, cp *kernels.CompressPlan, s *DenseScratch, ec *exec.Ctx) {
+	prod := d.accumulate(ins, len(outs), cp, s, ec)
+	K := d.Shape.K
+	for b, out := range outs {
+		d.epi.Pack(prod[b*K:(b+1)*K], out)
 	}
-	d.Forward(in, tmp, ec)
-	if len(out) < bitpack.WordsFor(d.Shape.K) {
-		panic("core: dense packed output too short")
-	}
-	d.packSigns(tmp, out)
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"bitflow/internal/bitpack"
 	"bitflow/internal/exec"
 	"bitflow/internal/sched"
-	"bitflow/internal/tensor"
 	"bitflow/internal/workload"
 )
 
@@ -66,7 +66,7 @@ func buildFused(t *testing.T, r *workload.RNG, h, w, c, k, kh, kw, stride, pad, 
 
 func (fc *fusedCase) check(t *testing.T, label string, ec *exec.Ctx) {
 	t.Helper()
-	fc.cv.ForwardPacked(fc.in, fc.conv, ec)
+	fc.cv.ForwardFused(one(fc.in), nil, nil, one(fc.conv), ec)
 	fc.pl.Forward(fc.conv, fc.want, ec)
 	// Poison the fused destination: stale interior bits must be
 	// overwritten, margins must stay untouched.
@@ -78,7 +78,7 @@ func (fc *fusedCase) check(t *testing.T, label string, ec *exec.Ctx) {
 			clear(fc.got.PixelWords(y, x))
 		}
 	}
-	fc.cv.ForwardFused(fc.in, fc.pl, fc.got, ec)
+	fc.cv.ForwardFused(one(fc.in), fc.pl, nil, one(fc.got), ec)
 	for y := 0; y < fc.want.H; y++ {
 		for x := 0; x < fc.want.W; x++ {
 			ww := fc.want.PixelWords(y, x)
@@ -130,17 +130,32 @@ func TestConvForwardFusedThreadsAgree(t *testing.T) {
 	}
 }
 
+// TestConvForwardFusedNilPoolIsForwardPacked pins the nil pool to its
+// definition: a 1×1 window with stride 1, on both steps.
 func TestConvForwardFusedNilPoolIsForwardPacked(t *testing.T) {
 	r := workload.NewRNG(92)
 	cv, _, packed := buildConv(t, r, 6, 6, 64, 40, 3, 3, 1, 1)
 	wpp := sched.Select(40, feat()).Words
-	a := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, wpp, 0, 0)
-	b := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, wpp, 0, 0)
-	cv.ForwardPacked(packed, a, exec.Serial())
-	cv.ForwardFused(packed, nil, b, exec.Serial())
-	for i := range a.Words {
-		if a.Words[i] != b.Words[i] {
-			t.Fatalf("nil-pool fused differs from ForwardPacked at word %d", i)
+	ps, err := sched.InferPool(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, err := NewPool(ps, wpp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := []*bitpack.Packed{packed, cv.NewInput()}
+	bitpack.PackTensorInto(workload.PM1Tensor(r, 6, 6, 64), ins[1])
+	for _, B := range []int{1, 2} {
+		a, c := make([]*bitpack.Packed, B), make([]*bitpack.Packed, B)
+		for b := range a {
+			a[b] = bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, wpp, 0, 0)
+			c[b] = bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, wpp, 0, 0)
+		}
+		cv.ForwardFused(ins[:B], nil, nil, a, exec.Serial())
+		cv.ForwardFused(ins[:B], unit, nil, c, exec.Serial())
+		for b := range a {
+			equalPacked(t, fmt.Sprintf("B=%d image %d: nil pool vs 1x1 pool", B, b), c[b], a[b])
 		}
 	}
 }
@@ -186,107 +201,13 @@ func TestConvForwardFusedBatchBitIdentical(t *testing.T) {
 			bitpack.PackTensorInto(in, ins[b])
 			outs[b] = bitpack.NewPacked(pl.Shape.OutH, pl.Shape.OutW, pl.Shape.OutC, wpp, 0, 0)
 			wants[b] = bitpack.NewPacked(pl.Shape.OutH, pl.Shape.OutW, pl.Shape.OutC, wpp, 0, 0)
-			cv.ForwardFused(ins[b], pl, wants[b], exec.Serial())
+			cv.ForwardFused(ins[b:b+1], pl, nil, wants[b:b+1], exec.Serial())
 		}
-		cv.ForwardFusedBatch(ins, pl, outs, exec.Threads(2))
+		cv.ForwardFused(ins, pl, nil, outs, exec.Threads(2))
 		for b := 0; b < B; b++ {
 			for i := range wants[b].Words {
 				if outs[b].Words[i] != wants[b].Words[i] {
 					t.Fatalf("B=%d lane %d word %d: batched fused differs from serial fused", B, b, i)
-				}
-			}
-		}
-	}
-}
-
-func TestMultiBaseForwardFusedMatchesForward(t *testing.T) {
-	r := workload.NewRNG(95)
-	h, w, c, k := 7, 7, 64, 70
-	shape, err := sched.InferConv(h, w, c, k, 3, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := sched.Select(c, feat())
-	f := workload.RandFilter(r, k, 3, 3, c)
-	mc, err := NewMultiBaseConv(shape, plan, f, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := workload.PM1Tensor(r, h, w, c)
-	packed := mc.NewInput()
-	bitpack.PackTensorInto(in, packed)
-
-	ref := tensor.New(shape.OutH, shape.OutW, shape.OutC)
-	mc.Forward(packed, ref, exec.Serial())
-	thr := make([]float32, k)
-	for i := range thr {
-		thr[i] = float32(r.Intn(11) - 5)
-	}
-	for _, th := range [][]float32{nil, thr} {
-		out := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, bitpack.WordsFor(k), 0, 0)
-		mc.ForwardFused(packed, th, out, exec.Threads(2))
-		for y := 0; y < shape.OutH; y++ {
-			for x := 0; x < shape.OutW; x++ {
-				words := out.PixelWords(y, x)
-				px := ref.Pixel(y, x)
-				for kk := 0; kk < k; kk++ {
-					var tv float32
-					if th != nil {
-						tv = th[kk]
-					}
-					want := px[kk] >= tv
-					got := words[kk/bitpack.WordBits]>>uint(kk%bitpack.WordBits)&1 == 1
-					if got != want {
-						t.Fatalf("multibase fused (%d,%d) k=%d: got %v, want %v (acc=%g thr=%g)",
-							y, x, kk, got, want, px[kk], tv)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestMultiBitForwardFusedMatchesForward(t *testing.T) {
-	r := workload.NewRNG(96)
-	h, w, c, k := 6, 6, 64, 66
-	shape, err := sched.InferConv(h, w, c, k, 3, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := sched.Select(c, feat())
-	f := workload.PM1Filter(r, k, 3, 3, c)
-	mb, err := NewMultiBitConv(shape, plan, f, 2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := workload.RandTensor(r, h, w, c)
-	planes := mb.NewPlanes()
-	mb.PackPlanes(in, planes)
-
-	ref := tensor.New(shape.OutH, shape.OutW, shape.OutC)
-	mb.Forward(planes, ref, exec.Serial())
-	thr := make([]float32, k)
-	for i := range thr {
-		thr[i] = float32(r.Intn(7)-3) / 2
-	}
-	for _, th := range [][]float32{nil, thr} {
-		out := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, bitpack.WordsFor(k), 0, 0)
-		mb.ForwardFused(planes, th, out, exec.Threads(2))
-		for y := 0; y < shape.OutH; y++ {
-			for x := 0; x < shape.OutW; x++ {
-				words := out.PixelWords(y, x)
-				px := ref.Pixel(y, x)
-				for kk := 0; kk < k; kk++ {
-					var tv float32
-					if th != nil {
-						tv = th[kk]
-					}
-					want := px[kk] >= tv
-					got := words[kk/bitpack.WordBits]>>uint(kk%bitpack.WordBits)&1 == 1
-					if got != want {
-						t.Fatalf("multibit fused (%d,%d) k=%d: got %v, want %v (acc=%g thr=%g)",
-							y, x, kk, got, want, px[kk], tv)
-					}
 				}
 			}
 		}

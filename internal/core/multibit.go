@@ -191,119 +191,3 @@ func (mb *MultiBitConv) Reference(in *tensor.Tensor, fb *tensor.Filter) *tensor.
 	}
 	return out
 }
-
-// ForwardFused computes the multi-bit convolution with a per-channel
-// float threshold → binarize epilogue fused in, writing packed bits
-// straight into out. Unlike Forward, which materializes one float plane
-// per bit-plane pass plus the float output plane, the fused form walks
-// the B planes per output pixel and never touches a float activation
-// buffer. thr holds the per-filter thresholds (bit = acc ≥ thr[k]); nil
-// means 0. out takes the conv's output geometry.
-//
-//bitflow:hot
-func (mb *MultiBitConv) ForwardFused(planes []*bitpack.Packed, thr []float32, out *bitpack.Packed, ec *exec.Ctx) {
-	s := mb.Shape
-	if len(planes) != mb.Bits {
-		panic(fmt.Sprintf("core: %d planes, want %d", len(planes), mb.Bits))
-	}
-	for _, p := range planes {
-		if p.H != s.InH || p.W != s.InW || p.C != s.InC || p.WPP != mb.Plan.Words {
-			panic(fmt.Sprintf("core: multibit plane %v, want %dx%dx%d wpp=%d", p, s.InH, s.InW, s.InC, mb.Plan.Words))
-		}
-		if p.MarginH < s.Pad || p.MarginW < s.Pad {
-			panic("core: multibit plane margins too small")
-		}
-	}
-	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
-		panic(fmt.Sprintf("core: multibit output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
-	}
-	if thr != nil && len(thr) != s.K {
-		panic(fmt.Sprintf("core: multibit thresholds len %d, want K=%d", len(thr), s.K))
-	}
-	cv := mb.conv
-	f := cv.rowsKernel
-	n32 := int32(cv.validLanes)
-	rowLen := cv.rowLen
-	fstride := s.KH * rowLen
-	fw := cv.filter.Words
-	step := mb.step()
-	planeSum := float32(int(1)<<mb.Bits-1) / 2
-	offsetScale := mb.Lo + step*planeSum
-	total := s.OutH * s.OutW
-	ws := mb.weightSums
-	ec.ParallelFor(total, func(start, end int) {
-		// One hoisted row set per bit-plane (Bits ≤ 8, KH ≤ 16).
-		var planeRows [8][16][]uint64 //bitflow:alloc-ok one scratch per worker chunk; the row slices leak into the indirect kernel call
-		// Clamp KH against the scratch capacity once: the no-op clamp is
-		// what lets the prover discharge every planeRows access below.
-		kh := s.KH
-		if kh > len(planeRows[0]) {
-			kh = len(planeRows[0])
-		}
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			y0 := y*s.Stride - s.Pad
-			x0 := x*s.Stride - s.Pad
-			for t := range planeRows {
-				if t >= len(planes) {
-					break
-				}
-				pl := planes[t]
-				pr := &planeRows[t]
-				for i := 0; i < kh; i++ {
-					off := pl.PixelOffset(y0+i, x0)
-					pr[i] = pl.Words[off : off+rowLen : off+rowLen] //bitflow:bce-ok one slice per filter row; the pixel-offset arithmetic is opaque to the prover
-				}
-			}
-			// Word-major packing: the output cursor dw and the bit shift
-			// advance together, so every per-filter access below is
-			// compiler-proven in bounds (`bitflow-vet codegen`).
-			dw := out.PixelWords(y, x) //bitflow:bce-ok inlined PixelWords slicing; once per output pixel, amortized over K filters of kernel calls
-			var word uint64
-			shift := uint(0)
-			for k := 0; k < s.K; k++ {
-				base := k * fstride
-				// Accumulate planes first, offset last — the exact float
-				// addition order of Forward, so fused bits match it even at
-				// rounding boundaries.
-				var acc float32
-				for t := range planeRows {
-					if t >= len(planes) {
-						break
-					}
-					pop := f(planeRows[t][:kh], fw[base:base+fstride:base+fstride]) //bitflow:bce-ok once per (filter, plane), amortized over the fstride-word kernel call
-					w := step * float32(int32(1)<<uint(t)) / 2
-					acc += w * float32(n32-2*int32(pop))
-				}
-				if k < len(ws) {
-					acc += offsetScale * float32(ws[k])
-				}
-				// k < len(thr) is the nil check too: nil thr has length 0
-				// and every filter falls back to the plain sign threshold.
-				var th float32
-				if k < len(thr) {
-					th = thr[k]
-				}
-				if acc >= th {
-					word |= 1 << shift
-				}
-				if shift++; shift == bitpack.WordBits {
-					if len(dw) > 0 {
-						dw[0] = word
-						dw = dw[1:]
-					}
-					word, shift = 0, 0
-				}
-			}
-			if shift != 0 && len(dw) > 0 {
-				dw[0] = word
-				dw = dw[1:]
-			}
-			for len(dw) > 0 {
-				dw[0] = 0
-				dw = dw[1:]
-			}
-		}
-	})
-}

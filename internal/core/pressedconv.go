@@ -26,6 +26,9 @@ type Conv struct {
 	// rowsKernel accumulates XOR+popcount over all KH row segments of
 	// one filter in a single call.
 	rowsKernel kernels.XorPopRowsFunc
+	// batchKernel is the same width-ladder rung for the gathered batch
+	// step: one filter against B receptive fields per call.
+	batchKernel kernels.XorPopBatchFunc
 	// validLanes is KH*KW*C, the true lane count N of Equation 1 for a
 	// full filter application; channel-pad lanes are zero in both
 	// operands and contribute nothing.
@@ -49,7 +52,7 @@ type Conv struct {
 }
 
 // SetThresholds installs a folded activation (batch-norm or bias) for
-// ForwardPacked. Pass nil to restore the plain sign.
+// ForwardFused. Pass nil to restore the plain sign.
 func (cv *Conv) SetThresholds(th *Thresholds) error {
 	if th != nil {
 		if err := th.validate(cv.Shape.K); err != nil {
@@ -97,13 +100,14 @@ func NewConvPacked(shape sched.ConvShape, plan sched.Plan, pf *bitpack.PackedFil
 		return nil, fmt.Errorf("core: width %s does not divide row length %d", plan.Width, shape.KW*plan.Words)
 	}
 	cv := &Conv{
-		Shape:      shape,
-		Plan:       plan,
-		filter:     pf,
-		rowsKernel: kernels.RowsForWidth(plan.Width),
-		validLanes: shape.KH * shape.KW * shape.InC,
-		rowLen:     shape.KW * plan.Words,
-		epi:        kernels.NewSignEpilogue(shape.K),
+		Shape:       shape,
+		Plan:        plan,
+		filter:      pf,
+		rowsKernel:  kernels.RowsForWidth(plan.Width),
+		batchKernel: kernels.BatchForWidth(plan.Width),
+		validLanes:  shape.KH * shape.KW * shape.InC,
+		rowLen:      shape.KW * plan.Words,
+		epi:         kernels.NewSignEpilogue(shape.K),
 	}
 	fstride := shape.KH * cv.rowLen
 	cv.pressStats = kernels.AnalyzeCompression(pf.Words, shape.K, fstride)
@@ -158,30 +162,6 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	})
 }
 
-// ForwardPacked computes outputs with the sign activation fused and
-// bit-packed directly into out's interior (zero-cost padding for the next
-// layer: out's margins stay untouched). out must be OutH×OutW with C = K.
-func (cv *Conv) ForwardPacked(in *bitpack.Packed, out *bitpack.Packed, ec *exec.Ctx) {
-	cv.checkInput(in)
-	s := cv.Shape
-	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
-		panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
-	}
-	total := s.OutH * s.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		// One row-pointer scratch per worker chunk: the rows slice leaks
-		// into the indirect kernel call, so a per-pixel array would be a
-		// per-pixel heap allocation (`bitflow-vet codegen` enforces this).
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk, amortized across the chunk's pixels
-		rows := inRows[:s.KH]
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			cv.pixelPackedInto(in, rows, y, x, out.PixelWords(y, x))
-		}
-	})
-}
-
 // pixelInto computes the K inner products of output pixel (y, x) into dst.
 func (cv *Conv) pixelInto(in *bitpack.Packed, y, x int, dst []float32) {
 	s := cv.Shape
@@ -208,24 +188,6 @@ func (cv *Conv) pixelInto(in *bitpack.Packed, y, x int, dst []float32) {
 	}
 }
 
-// pixelPackedInto computes the K inner products of output pixel (y, x)
-// and writes threshold bits into the WPP words at dst via the fused
-// epilogue. Bits beyond K stay 0.
-// rows is caller-provided KH-length scratch (hoisted so the backing
-// array is allocated once per worker chunk, not per pixel).
-func (cv *Conv) pixelPackedInto(in *bitpack.Packed, rows [][]uint64, y, x int, dst []uint64) {
-	s := cv.Shape
-	rowLen := cv.rowLen
-	y0 := y*s.Stride - s.Pad
-	x0 := x*s.Stride - s.Pad
-	for i := 0; i < s.KH && i < len(rows); i++ {
-		off := in.PixelOffset(y0+i, x0)
-		rows[i] = in.Words[off : off+rowLen : off+rowLen]
-	}
-	kernels.ConvEpilogue(cv.rowsKernel, rows, cv.filter.Words, s.KH*rowLen,
-		int32(cv.validLanes), cv.epi, dst)
-}
-
 // CanFusePool reports whether a max-pool with shape ps can fuse into this
 // conv's epilogue: ps must consume exactly this conv's output geometry
 // with non-overlapping windows (stride ≥ window in both dimensions), so
@@ -239,58 +201,150 @@ func (cv *Conv) CanFusePool(ps sched.PoolShape) bool {
 		ps.Stride >= ps.KH && ps.Stride >= ps.KW
 }
 
-// ForwardFused is the fused conv → threshold → binarize → max-pool
-// forward: for each pool output pixel it runs the conv epilogue over the
-// window's positions, the first overwriting, the rest ORing threshold
-// bits in — with a filter's XOR+popcount skipped outright once its bit
-// saturates (OR is monotone). The conv's intermediate plane never
-// materializes. pl must satisfy CanFusePool; out takes the pool's output
-// geometry. A nil pl degenerates to ForwardPacked.
-func (cv *Conv) ForwardFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, ec *exec.Ctx) {
-	if pl == nil {
-		cv.ForwardPacked(in, out, ec)
-		return
-	}
-	cv.checkInput(in)
-	if !cv.CanFusePool(pl.Shape) {
-		panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
-	}
-	p := pl.Shape
-	if out.H != p.OutH || out.W != p.OutW || out.C != p.OutC {
-		panic(fmt.Sprintf("core: fused output %v, want %dx%dx%d", out, p.OutH, p.OutW, p.OutC))
+// ForwardFused is the PressedConv packed forward: conv → threshold →
+// binarize, optionally → max-pool, over B = len(ins) images into outs.
+// Three arguments compose into one sweep instead of naming variants:
+//
+//   - pl is a max-pool fused into the epilogue: for each pool output
+//     pixel the conv epilogue runs over the window's positions, the first
+//     overwriting and the rest ORing threshold bits in, so the conv's
+//     intermediate plane never materializes. pl must satisfy CanFusePool;
+//     nil is a 1×1 window with stride 1, the plain conv output.
+//   - cp is the accumulate source: nil streams the packed filter bank
+//     (skipping a filter's XOR+popcount once its OR bit saturates); a
+//     plan (Compression, or any plan SetCompression accepts) pays one
+//     XOR+popcount per distinct word and scatter-adds it into the K
+//     accumulators.
+//   - B picks the step. At B == 1 the kernel reads row slices pointing
+//     straight into the input; at B > 1 every image's receptive field is
+//     gathered into one block so each filter streams through the cache
+//     once per batch. The gathered step is slower for a single image
+//     (DESIGN §11), hence the split on the batch size.
+//
+// ins and outs must be pairwise legal and must not alias across images;
+// outs take the pool's output geometry (the conv's without a pool), and
+// their margins stay untouched (zero-cost padding for the next layer).
+// Every step finishes through the same epilogue, so all combinations are
+// bit-identical. ec splits the output pixels.
+func (cv *Conv) ForwardFused(ins []*bitpack.Packed, pl *Pool, cp *kernels.CompressPlan, outs []*bitpack.Packed, ec *exec.Ctx) {
+	B := len(ins)
+	if B == 0 || len(outs) != B {
+		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", B, len(outs)))
 	}
 	s := cv.Shape
-	rowLen := cv.rowLen
-	fstride := s.KH * rowLen
+	p := sched.PoolShape{InH: s.OutH, InW: s.OutW, InC: s.OutC, KH: 1, KW: 1, Stride: 1,
+		OutH: s.OutH, OutW: s.OutW, OutC: s.OutC}
+	if pl != nil {
+		if !cv.CanFusePool(pl.Shape) {
+			panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
+		}
+		p = pl.Shape
+	}
+	S := s.KH * cv.rowLen // receptive-field words per image
+	if cp != nil && (cp.K != s.K || cp.S != S) {
+		panic(fmt.Sprintf("core: compression plan %dx%d does not match conv bank %dx%d", cp.K, cp.S, s.K, S))
+	}
+	packWPP := bitpack.WordsFor(s.K)
 	n32 := int32(cv.validLanes)
-	fw := cv.filter.Words
-	epi := cv.epi
-	f := cv.rowsKernel
-	total := p.OutH * p.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk; rows leaks into the indirect kernel call
-		rows := inRows[:s.KH]
+	for b, in := range ins {
+		cv.checkInput(in)
+		if o := outs[b]; o.H != p.OutH || o.W != p.OutW || o.C != p.OutC || o.WPP != outs[0].WPP || o.WPP < packWPP {
+			panic(fmt.Sprintf("core: conv output %v, want %dx%dx%d", o, p.OutH, p.OutW, p.OutC))
+		}
+	}
+	ec.ParallelFor(p.OutH*p.OutW, func(start, end int) {
+		// Per-worker scratch, amortized across the chunk's pixels. The
+		// streaming row step's slices leak into the indirect kernel call,
+		// so a per-pixel array would be a per-pixel heap allocation
+		// (`bitflow-vet codegen` enforces this); the compressed row step
+		// does not leak them and keeps them on the stack.
+		var rows, pressRows [][]uint64
+		var stackRows [maxKH][]uint64
+		var gather, packed []uint64
+		switch {
+		case B > 1:
+			gather = make([]uint64, B*S)       //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
+			packed = make([]uint64, B*packWPP) //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
+		case cp != nil:
+			pressRows = stackRows[:s.KH]
+		default:
+			rows = make([][]uint64, s.KH) //bitflow:alloc-ok one scratch per worker chunk
+		}
+		var acc []int32
+		if cp != nil {
+			acc = make([]int32, B*s.K) //bitflow:alloc-ok per-worker scratch: K scatter-add accumulators per image
+		} else if B > 1 {
+			acc = make([]int32, B) //bitflow:alloc-ok per-worker scratch: one popcount per image
+		}
 		for idx := start; idx < end; idx++ {
 			py := idx / p.OutW
 			px := idx % p.OutW
-			dst := out.PixelWords(py, px)
+			var dst []uint64 // the B == 1 step writes the output pixel in place
+			if B == 1 {
+				dst = outs[0].PixelWords(py, px)
+			}
 			for i := 0; i < p.KH; i++ {
-				cy := py*p.Stride + i
 				for j := 0; j < p.KW; j++ {
-					cx := px*p.Stride + j
-					y0 := cy*s.Stride - s.Pad
-					x0 := cx*s.Stride - s.Pad
-					for r := 0; r < s.KH; r++ {
-						off := in.PixelOffset(y0+r, x0)
-						rows[r] = in.Words[off : off+rowLen : off+rowLen]
-					}
-					if i == 0 && j == 0 {
-						kernels.ConvEpilogue(f, rows, fw, fstride, n32, epi, dst)
-					} else {
-						kernels.ConvEpilogueOr(f, rows, fw, fstride, n32, epi, dst)
+					y0 := (py*p.Stride+i)*s.Stride - s.Pad
+					x0 := (px*p.Stride+j)*s.Stride - s.Pad
+					or := i > 0 || j > 0
+					switch {
+					case B > 1:
+						cv.gatherStep(ins, gather, y0, x0, cp, acc, packed, or)
+					case cp != nil:
+						kernels.CompressedConvEpilogue(cp, cv.rowsAt(ins[0], pressRows, y0, x0), cv.rowLen, n32, cv.epi, acc, dst, or)
+					case or:
+						kernels.ConvEpilogueOr(cv.rowsKernel, cv.rowsAt(ins[0], rows, y0, x0), cv.filter.Words, S, n32, cv.epi, dst)
+					default:
+						kernels.ConvEpilogue(cv.rowsKernel, cv.rowsAt(ins[0], rows, y0, x0), cv.filter.Words, S, n32, cv.epi, dst)
 					}
 				}
 			}
+			if B == 1 {
+				continue
+			}
+			for b, out := range outs {
+				o := out.PixelWords(py, px)
+				n := copy(o, packed[b*packWPP:(b+1)*packWPP])
+				clear(o[n:])
+			}
 		}
 	})
+}
+
+// rowsAt is the B == 1 step's gather, which copies nothing: it points
+// the KH row slices at in's rows of the receptive field starting at
+// (y0, x0) and returns them.
+func (cv *Conv) rowsAt(in *bitpack.Packed, rows [][]uint64, y0, x0 int) [][]uint64 {
+	rowLen := cv.rowLen
+	for r := range rows {
+		off := in.PixelOffset(y0+r, x0)
+		rows[r] = in.Words[off : off+rowLen : off+rowLen]
+	}
+	return rows
+}
+
+// gatherStep is the B > 1 step: it copies every image's receptive field
+// at (y0, x0) into gather (image-major, KH*rowLen words each), then runs
+// the batched epilogue into packed, B pixels of WordsFor(K) words.
+func (cv *Conv) gatherStep(ins []*bitpack.Packed, gather []uint64, y0, x0 int, cp *kernels.CompressPlan, acc []int32, packed []uint64, or bool) {
+	rowLen := cv.rowLen
+	S := cv.Shape.KH * rowLen
+	for b, in := range ins {
+		g := gather[b*S : (b+1)*S]
+		for r := 0; r < cv.Shape.KH; r++ {
+			off := in.PixelOffset(y0+r, x0)
+			copy(g[r*rowLen:(r+1)*rowLen], in.Words[off:off+rowLen])
+		}
+	}
+	n32 := int32(cv.validLanes)
+	wpp := bitpack.WordsFor(cv.Shape.K)
+	switch {
+	case cp != nil:
+		kernels.CompressedConvBatchEpilogue(cp, gather, n32, cv.epi, acc, packed, wpp, or)
+	case or:
+		kernels.ConvBatchEpilogueOr(cv.batchKernel, gather, cv.filter.Words, S, n32, cv.epi, acc, packed, wpp)
+	default:
+		kernels.ConvBatchEpilogue(cv.batchKernel, gather, cv.filter.Words, S, n32, cv.epi, acc, packed, wpp)
+	}
 }

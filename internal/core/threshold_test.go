@@ -155,7 +155,7 @@ func TestConvWithThresholdsMatchesFloatBN(t *testing.T) {
 		t.Fatal(err)
 	}
 	pOut := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, 16, 1, 0, 0)
-	cv.ForwardPacked(packed, pOut, exec.Threads(2))
+	cv.ForwardFused([]*bitpack.Packed{packed}, nil, nil, []*bitpack.Packed{pOut}, exec.Threads(2))
 	got := bitpack.Unpack(pOut)
 
 	for h := 0; h < raw.H; h++ {
@@ -176,7 +176,7 @@ func TestConvWithThresholdsMatchesFloatBN(t *testing.T) {
 	if err := cv.SetThresholds(nil); err != nil {
 		t.Fatal(err)
 	}
-	cv.ForwardPacked(packed, pOut, exec.Serial())
+	cv.ForwardFused([]*bitpack.Packed{packed}, nil, nil, []*bitpack.Packed{pOut}, exec.Serial())
 	if !bitpack.Unpack(pOut).Equal(raw.Sign()) {
 		t.Error("SetThresholds(nil) did not restore the plain sign")
 	}
@@ -208,7 +208,7 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 	in := d.NewInput()
 	bitpack.PackVectorInto(in, inVals)
 	raw := make([]int32, k)
-	d.Forward(in, raw, exec.Serial())
+	d.Forward([][]uint64{in}, [][]int32{raw}, nil, &DenseScratch{}, exec.Serial())
 
 	gamma, beta, mean, variance := randBN(r, k)
 
@@ -221,7 +221,7 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 		t.Fatal(err)
 	}
 	packedOut := make([]uint64, bitpack.WordsFor(k))
-	d.ForwardPacked(in, packedOut, d.NewScratch(), exec.Serial())
+	d.ForwardPacked([][]uint64{in}, [][]uint64{packedOut}, nil, &DenseScratch{}, exec.Serial())
 	bits := bitpack.UnpackVector(packedOut, k)
 	for c := 0; c < k; c++ {
 		want := float32(-1)
@@ -242,7 +242,7 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 		t.Fatal(err)
 	}
 	logits := make([]float32, k)
-	d.ForwardFloat(in, logits, d.NewScratch(), exec.Serial())
+	d.ForwardFloat([][]uint64{in}, [][]float32{logits}, nil, &DenseScratch{}, exec.Serial())
 	for c := 0; c < k; c++ {
 		sigma := float32(math.Sqrt(float64(variance[c]) + eps))
 		want := gamma[c]/sigma*(float32(raw[c])-mean[c]) + beta[c]

@@ -40,7 +40,7 @@ func Threads(n int) *Ctx {
 	if n <= 1 {
 		return Serial()
 	}
-	//bitflow:alloc-ok tiny context header on the legacy Threads knob; SetExec callers construct once
+	//bitflow:alloc-ok tiny context header; SetExec callers construct once
 	return &Ctx{pool: Default(), threads: n}
 }
 

@@ -148,8 +148,8 @@ var (
 )
 
 // Default returns the lazily-created process-wide pool, sized to
-// GOMAXPROCS. It backs the Network.Threads compatibility shim and any
-// caller that wants parallelism without managing a pool of its own.
+// GOMAXPROCS. It backs exec.Threads contexts and any caller that wants
+// parallelism without managing a pool of its own.
 func Default() *Pool {
 	defaultOnce.Do(func() {
 		defaultPool = NewPool(runtime.GOMAXPROCS(0))

@@ -191,7 +191,7 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 	}
 	n := &Network{
 		Name: b.name, InH: b.inH, InW: b.inW, InC: b.inC,
-		Feat: b.feat, Threads: 1,
+		Feat: b.feat,
 		arch: append([]spec(nil), b.specs...),
 	}
 
@@ -411,7 +411,7 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 				}
 				actFolded = true
 			}
-			l := &denseLayer{lname: sp.name, op: op, in: in, tmp: op.NewScratch()}
+			l := &denseLayer{lname: sp.name, op: op, in: in}
 			n.layers = append(n.layers, l)
 			if last {
 				l.floatOut = make([]float32, sp.units)
@@ -493,5 +493,7 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 	if !b.noPress {
 		n.press()
 	}
+	n.lanes = []*Network{n}
+	n.wire()
 	return n, nil
 }

@@ -27,7 +27,6 @@ func (n *Network) Clone() *Network {
 		// programming error, not a user input problem.
 		panic(fmt.Sprintf("graph: Clone of a compiled network failed: %v", err))
 	}
-	clone.Threads = n.Threads
 	clone.ec = n.ec
 	return clone
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"bitflow/internal/exec"
 	"bitflow/internal/kernels"
 	"bitflow/internal/tensor"
 	"bitflow/internal/workload"
@@ -14,6 +15,7 @@ func TestCloneMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetExec(exec.Threads(2))
 	clone := net.Clone()
 	x := workload.RandTensor(workload.NewRNG(51), 32, 32, 3)
 	want := net.Infer(x)
@@ -27,8 +29,8 @@ func TestCloneMatchesOriginal(t *testing.T) {
 	if net.ModelSize() != clone.ModelSize() {
 		t.Error("clone reports different model size")
 	}
-	if clone.Threads != net.Threads {
-		t.Error("clone did not inherit Threads")
+	if clone.Exec() != net.Exec() {
+		t.Error("clone did not inherit the execution context")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"bitflow/internal/bitpack"
 	"bitflow/internal/core"
 	"bitflow/internal/exec"
+	"bitflow/internal/kernels"
 )
 
 // Fusion planning (Vorabbi et al., "Optimizing data-flow in Binary
@@ -53,8 +54,11 @@ type fusedConvPoolLayer struct {
 	pool            *core.Pool
 	in              *bitpack.Packed // the conv's input edge
 	out             *bitpack.Packed // the pool's output edge
-	// press selects the kernel-compressed forward (see press.go).
-	press bool
+	// ins and outs are in and out across the network's lanes (see wire).
+	ins, outs []*bitpack.Packed
+	// press is the compression plan the forward runs with (see
+	// press.go), nil for the streaming kernels.
+	press *kernels.CompressPlan
 }
 
 // name is the pair's stable "conv+pool" identity, so per-layer stats
@@ -65,12 +69,15 @@ func (l *fusedConvPoolLayer) outDims() string {
 	s := l.pool.Shape
 	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
 }
-func (l *fusedConvPoolLayer) forward(ec *exec.Ctx) {
-	if l.press {
-		l.conv.ForwardFusedCompressed(l.in, l.pool, l.out, ec)
-		return
+func (l *fusedConvPoolLayer) forward(B int, ec *exec.Ctx) {
+	l.conv.ForwardFused(l.ins[:B], l.pool, l.press, l.outs[:B], ec)
+}
+func (l *fusedConvPoolLayer) wire(lanes []layer) {
+	l.ins, l.outs = l.ins[:0], l.outs[:0]
+	for _, ln := range lanes {
+		c := ln.(*fusedConvPoolLayer)
+		l.ins, l.outs = append(l.ins, c.in), append(l.outs, c.out)
 	}
-	l.conv.ForwardFused(l.in, l.pool, l.out, ec)
 }
 func (l *fusedConvPoolLayer) parallelUnits() int {
 	return l.pool.Shape.OutH * l.pool.Shape.OutW
@@ -135,7 +142,6 @@ func (n *Network) CloneUnfused() *Network {
 	if err != nil {
 		panic(fmt.Sprintf("graph: CloneUnfused of a compiled network failed: %v", err))
 	}
-	clone.Threads = n.Threads
 	clone.ec = n.ec
 	return clone
 }

@@ -6,6 +6,7 @@ import (
 
 	"bitflow/internal/baseline"
 	"bitflow/internal/bitpack"
+	"bitflow/internal/exec"
 	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
 	"bitflow/internal/tensor"
@@ -66,7 +67,7 @@ func TestInferThreadsAgree(t *testing.T) {
 	}
 	x := workload.RandTensor(workload.NewRNG(7), 32, 32, 3)
 	want := net.Infer(x)
-	net.Threads = 4
+	net.SetExec(exec.Threads(4))
 	got := net.Infer(x)
 	for i := range want {
 		if want[i] != got[i] {

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bitflow/internal/bitpack"
-	"bitflow/internal/core"
-	"bitflow/internal/exec"
-	"bitflow/internal/faultinject"
 	"bitflow/internal/tensor"
 )
 
@@ -53,86 +49,45 @@ func (n *Network) CheckInputFinite(x *tensor.Tensor) error {
 	return nil
 }
 
-// batchWiring pre-collects, for one layer, the lane buffer slices the
-// batched operator paths consume, so forwardLayerBatch hands them over
-// without assembling anything per batch. Exactly one family of fields is
-// populated, matching the layer's type.
-type batchWiring struct {
-	convIns, convOuts []*bitpack.Packed
-
-	denseIns    [][]uint64
-	densePacked [][]uint64
-	denseFloat  [][]float32
-	denseTmp    *core.DenseBatchScratch
-}
-
 // EnsureBatch grows the network's lane pool to serve batches of up to b
 // images without further allocation. Lane 0 is the network itself; extra
 // lanes are clones sharing the packed weights. The pool only ever grows —
 // a batcher sizes it once to its max-batch at startup, the "grown once"
 // buffer scheme of the batched path.
 func (n *Network) EnsureBatch(b int) {
-	grown := len(n.wiring) == 0
+	if len(n.lanes) >= b {
+		return
+	}
 	for len(n.lanes) < b {
-		if len(n.lanes) == 0 {
-			n.lanes = append(n.lanes, n)
-			continue
-		}
 		n.lanes = append(n.lanes, n.Clone())
-		grown = true
 	}
-	if grown {
-		n.rewireBatch()
-	}
+	n.wire()
 }
 
-// rewireBatch rebuilds the per-layer wiring for the current lane pool.
-func (n *Network) rewireBatch() {
-	B := len(n.lanes)
-	n.wiring = make([]batchWiring, len(n.layers))
-	for li, base := range n.layers {
-		w := &n.wiring[li]
-		switch base.(type) {
-		case *convLayer:
-			w.convIns = make([]*bitpack.Packed, B)
-			w.convOuts = make([]*bitpack.Packed, B)
-			for b, lane := range n.lanes {
-				cl := lane.layers[li].(*convLayer)
-				w.convIns[b], w.convOuts[b] = cl.in, cl.out
-			}
-		case *fusedConvPoolLayer:
-			w.convIns = make([]*bitpack.Packed, B)
-			w.convOuts = make([]*bitpack.Packed, B)
-			for b, lane := range n.lanes {
-				fl := lane.layers[li].(*fusedConvPoolLayer)
-				w.convIns[b], w.convOuts[b] = fl.in, fl.out
-			}
-		case *denseLayer:
-			w.denseIns = make([][]uint64, B)
-			w.densePacked = make([][]uint64, B)
-			w.denseFloat = make([][]float32, B)
-			w.denseTmp = &core.DenseBatchScratch{}
-			for b, lane := range n.lanes {
-				dl := lane.layers[li].(*denseLayer)
-				w.denseIns[b] = dl.in
-				w.densePacked[b] = dl.packedOut
-				w.denseFloat[b] = dl.floatOut
-			}
-			w.denseTmp.Ensure(base.(*denseLayer).op, B)
+// wire points every layer's lane slices at the current lane pool, so the
+// sweep hands the operators pre-collected buffers and allocates nothing
+// per pass. Build wires the single lane of serial inference.
+func (n *Network) wire() {
+	lanes := make([]layer, len(n.lanes))
+	for li, l := range n.layers {
+		for b, lane := range n.lanes {
+			lanes[b] = lane.layers[li]
 		}
+		l.wire(lanes)
 	}
 }
 
-// MaxBatch reports the current lane-pool capacity (0 before the first
-// EnsureBatch/InferBatch call).
+// MaxBatch reports the current lane-pool capacity (1 until the first
+// EnsureBatch or InferBatch call grows it).
 func (n *Network) MaxBatch() int { return len(n.lanes) }
 
 // InferBatch runs one forward pass over all of xs and returns one logits
 // slice per input, with InferBatch(xs)[i] bit-identical to Infer(xs[i]).
 // Inputs are validated up front: a nil, misshapen, or malformed tensor
 // fails the call with a *BatchInputError naming the offending index and
-// no forward pass runs. Like Infer, InferBatch is not safe for concurrent
-// use on the same Network.
+// no forward pass runs. The pass runs under the attached execution
+// context, observer included. Like Infer, InferBatch is not safe for
+// concurrent use on the same Network.
 func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 	B := len(xs)
 	if B == 0 {
@@ -144,76 +99,16 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 			return nil, &BatchInputError{Index: i, Err: err}
 		}
 	}
-	if B == 1 {
-		// nil ctx: keep any cancellation carried by the attached
-		// execution context, matching the B>1 layer-sweep below.
-		out, err := n.InferContext(nil, xs[0])
-		if err != nil {
-			//bitflow:alloc-ok failure path; the error escapes
-			return nil, &BatchInputError{Index: 0, Err: err}
-		}
-		//bitflow:alloc-ok result wrapper escapes to the caller
-		return [][]float32{out}, nil
-	}
 	n.EnsureBatch(B)
-	ec := n.execCtx()
-	lanes := n.lanes[:B]
-	for b, lane := range lanes {
-		lane.feedInput(xs[b])
-	}
-	for li := range n.layers {
-		if err := ec.Err(); err != nil {
-			return nil, err
-		}
-		if err := faultinject.GraphLayer.Fire(ec.Context(), n.layers[li].name(), li); err != nil {
-			return nil, err
-		}
-		n.forwardLayerBatch(li, lanes, ec)
+	if err := n.sweep(xs, n.execCtx()); err != nil {
+		return nil, err
 	}
 	//bitflow:alloc-ok result slices escape to the caller; lane buffers are reused by the next batch
 	outs := make([][]float32, B)
-	for b, lane := range lanes {
+	for b, lane := range n.lanes[:B] {
 		//bitflow:alloc-ok result slices escape to the caller
 		outs[b] = make([]float32, len(lane.output))
 		copy(outs[b], lane.output)
 	}
 	return outs, nil
-}
-
-// forwardLayerBatch runs layer li across all lanes. Conv and dense layers
-// use the batched operator paths (weights stream once per batch); pool and
-// the mixed-precision float stem are weightless or float-bound and run
-// per lane.
-func (n *Network) forwardLayerBatch(li int, lanes []*Network, ec *exec.Ctx) {
-	B := len(lanes)
-	w := &n.wiring[li]
-	switch l := n.layers[li].(type) {
-	case *convLayer:
-		if l.press {
-			l.op.ForwardPackedBatchCompressed(w.convIns[:B], w.convOuts[:B], ec)
-			return
-		}
-		l.op.ForwardPackedBatch(w.convIns[:B], w.convOuts[:B], ec)
-	case *fusedConvPoolLayer:
-		if l.press {
-			l.conv.ForwardFusedBatchCompressed(w.convIns[:B], l.pool, w.convOuts[:B], ec)
-			return
-		}
-		l.conv.ForwardFusedBatch(w.convIns[:B], l.pool, w.convOuts[:B], ec)
-	case *denseLayer:
-		switch {
-		case l.floatOut != nil && l.press:
-			l.op.ForwardFloatBatchCompressed(w.denseIns[:B], w.denseFloat[:B], w.denseTmp, ec)
-		case l.floatOut != nil:
-			l.op.ForwardFloatBatch(w.denseIns[:B], w.denseFloat[:B], w.denseTmp, ec)
-		case l.press:
-			l.op.ForwardPackedBatchCompressed(w.denseIns[:B], w.densePacked[:B], w.denseTmp, ec)
-		default:
-			l.op.ForwardPackedBatch(w.denseIns[:B], w.densePacked[:B], w.denseTmp, ec)
-		}
-	default:
-		for _, lane := range lanes {
-			lane.layers[li].forward(ec)
-		}
-	}
 }

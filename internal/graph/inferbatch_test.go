@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
+	"bitflow/internal/exec"
 	"bitflow/internal/tensor"
 	"bitflow/internal/workload"
 )
@@ -138,5 +140,79 @@ func TestInferBatchInputErrors(t *testing.T) {
 	_, err = net.InferBatch([]*tensor.Tensor{wrong, good()})
 	if !errors.As(err, &bie) || bie.Index != 0 {
 		t.Fatalf("wrong-shape item not reported at index 0: %v", err)
+	}
+}
+
+// TestInferBatchObserver pins the observer on the batched sweep: at B = 4
+// it sees "input" and then the same (name, kind) sequence Infer reports.
+func TestInferBatchObserver(t *testing.T) {
+	net, err := TinyVGG(feat(), RandomWeights{Seed: 63})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type obs struct{ name, kind string }
+	var seen []obs
+	net.SetExec(exec.Serial().WithObserver(func(layer, kind string, d time.Duration) {
+		seen = append(seen, obs{layer, kind})
+	}))
+	r := workload.NewRNG(9)
+	net.Infer(workload.RandTensor(r, net.InH, net.InW, net.InC))
+	serial := seen
+	seen = nil
+	xs := make([]*tensor.Tensor, 4)
+	for b := range xs {
+		xs[b] = workload.RandTensor(r, net.InH, net.InW, net.InC)
+	}
+	if _, err := net.InferBatch(xs); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 || seen[0] != (obs{"input", "pack"}) {
+		t.Fatalf("batched pass observed %v, want input first", seen)
+	}
+	if len(seen) != len(serial) {
+		t.Fatalf("batched pass observed %v, Infer observed %v", seen, serial)
+	}
+	for i := range serial {
+		if seen[i] != serial[i] {
+			t.Fatalf("observation %d: batched %v, Infer %v", i, seen[i], serial[i])
+		}
+	}
+}
+
+// TestInferBatchAllocs pins the allocations of one B = 4 batched pass
+// through a fused TinyVGG whose every conv and the hidden dense layer run
+// compressed: the 4 logits slices and their wrapper, and per conv node
+// the dispatch closure plus its per-worker gather, packed-pixel and
+// accumulator scratch. The dense scratch is sized when the lanes are
+// wired, so the dense layers allocate nothing.
+func TestInferBatchAllocs(t *testing.T) {
+	ws := dupWeights{
+		RandomWeights: RandomWeights{Seed: 64},
+		dup:           map[string]int{"conv1.2": 4, "conv2.1": 4, "fc1": 4},
+	}
+	net, err := TinyVGG(feat(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Fusion().Pairs != 2 || net.CompressedLayers() != 4 {
+		t.Fatalf("want 2 fused pairs and 4 compressed layers, got %d and %d", net.Fusion().Pairs, net.CompressedLayers())
+	}
+	net.SetExec(exec.Serial())
+	r := workload.NewRNG(10)
+	xs := make([]*tensor.Tensor, 4)
+	for b := range xs {
+		xs[b] = workload.RandTensor(r, net.InH, net.InW, net.InC)
+	}
+	if _, err := net.InferBatch(xs); err != nil { // grows the lanes
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := net.InferBatch(xs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per InferBatch(4): %v", allocs)
+	if allocs > 17 {
+		t.Errorf("InferBatch(4) allocates %v times per pass, want at most 17", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"testing"
 
+	"bitflow/internal/exec"
 	"bitflow/internal/workload"
 )
 
@@ -69,7 +70,7 @@ func TestThreadSweepDeterminismAcrossWholeNetwork(t *testing.T) {
 	x := workload.RandTensor(workload.NewRNG(204), 32, 32, 3)
 	want := net.Infer(x)
 	for _, threads := range []int{2, 3, 5, 8, 64} {
-		net.Threads = threads
+		net.SetExec(exec.Threads(threads))
 		got := net.Infer(x)
 		for i := range want {
 			if got[i] != want[i] {

@@ -9,6 +9,7 @@ import (
 	"bitflow/internal/core"
 	"bitflow/internal/exec"
 	"bitflow/internal/faultinject"
+	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
 	"bitflow/internal/tensor"
 )
@@ -19,7 +20,12 @@ type layer interface {
 	name() string
 	kind() string
 	outDims() string
-	forward(ec *exec.Ctx)
+	// forward runs the layer over the first B lanes of its wiring — the
+	// single per-kind dispatch of serial (B = 1) and batched inference.
+	forward(B int, ec *exec.Ctx)
+	// wire points the layer's lane slices at the same layer of every
+	// lane; lanes[0] is the layer itself.
+	wire(lanes []layer)
 	// weightStats returns (scalar weight count, bytes of weight storage
 	// actually held — packed bits for binary layers, float32 for the
 	// mixed-precision first layer); zero for weightless layers.
@@ -40,15 +46,7 @@ type Network struct {
 	Classes       int
 	Feat          sched.Features
 
-	// Threads is the legacy worker-count knob. When no execution context
-	// is attached via SetExec, Infer derives one from it on the shared
-	// default pool (exec.Threads), so pre-exec callers and benches keep
-	// working unchanged. With SetExec, the attached context wins and
-	// Threads is ignored.
-	Threads int
-
-	// ec is the attached execution context (SetExec); nil means "derive
-	// from Threads".
+	// ec is the attached execution context (SetExec); nil runs serially.
 	ec *exec.Ctx
 
 	layers []layer
@@ -75,15 +73,11 @@ type Network struct {
 	// see press.go.
 	uncompressed bool
 
-	// lanes is the batched-inference buffer pool (see inferbatch.go):
+	// lanes is the buffer pool of the layer sweep (see inferbatch.go):
 	// lane 0 is the network itself, the rest are clones sharing the
-	// packed weights. Grown once by EnsureBatch, never shrunk.
+	// packed weights. Built with one lane, grown by EnsureBatch, never
+	// shrunk; every layer's lane slices are wired to it.
 	lanes []*Network
-
-	// wiring holds the per-layer lane buffer slices InferBatch hands the
-	// batched operator paths, pre-collected by EnsureBatch so the
-	// layer-major sweep allocates nothing per batch.
-	wiring []batchWiring
 }
 
 // LayerInfo describes one layer for reporting.
@@ -134,20 +128,24 @@ func (n *Network) CheckInput(x *tensor.Tensor) error {
 // budget, and optional per-layer observer. Servers build one base context
 // for the whole process and attach it to every replica, so the process
 // shares a single worker pool no matter how many replicas run. Passing
-// nil detaches, falling back to the Threads shim.
+// nil detaches, falling back to serial execution.
 func (n *Network) SetExec(ec *exec.Ctx) { n.ec = ec }
 
-// Exec returns the attached execution context, or nil when the network is
-// running on the legacy Threads shim.
+// Exec returns the attached execution context, or nil when none is
+// attached and passes run serially.
 func (n *Network) Exec() *exec.Ctx { return n.ec }
 
+// serial is the context of a network with nothing attached, built once
+// so a pass does not allocate one.
+var serial = exec.Serial()
+
 // execCtx resolves the context a forward pass runs under: the attached
-// one, else the Threads-derived compatibility shim.
+// one, else serial.
 func (n *Network) execCtx() *exec.Ctx {
 	if n.ec != nil {
 		return n.ec
 	}
-	return exec.Threads(n.Threads)
+	return serial
 }
 
 // InferChecked is Infer with the shape panic converted into a returned
@@ -175,37 +173,53 @@ func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32
 	if ctx != nil {
 		ec = ec.WithContext(ctx)
 	}
-	if err := ec.Err(); err != nil {
+	xs := [1]*tensor.Tensor{x}
+	if err := n.sweep(xs[:], ec); err != nil {
 		return nil, err
+	}
+	//bitflow:alloc-ok result slice escapes to the caller; returning a view of n.output would race with the next inference
+	out := make([]float32, len(n.output))
+	copy(out, n.output)
+	return out, nil
+}
+
+// sweep is the one forward driver: it feeds xs into the first B =
+// len(xs) lanes, then runs every layer once across them, checking
+// cancellation and the graph.layer fault point before each layer and
+// reporting the input pack and every layer to the observer, if one is
+// attached. Serial inference is the B = 1 sweep over the network's own
+// buffers.
+func (n *Network) sweep(xs []*tensor.Tensor, ec *exec.Ctx) error {
+	if err := ec.Err(); err != nil {
+		return err
 	}
 	obs := ec.Observer()
 	var t0 time.Time
 	if obs != nil {
 		t0 = time.Now()
 	}
-	n.feedInput(x)
+	for b, x := range xs {
+		n.lanes[b].feedInput(x)
+	}
 	if obs != nil {
 		obs("input", "pack", time.Since(t0))
 	}
 	for i, l := range n.layers {
 		if err := ec.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := faultinject.GraphLayer.Fire(ec.Context(), l.name(), i); err != nil {
-			return nil, err
+			return err
 		}
 		if obs != nil {
 			t0 = time.Now()
 		}
-		l.forward(ec)
+		l.forward(len(xs), ec)
 		if obs != nil {
 			obs(l.name(), l.kind(), time.Since(t0))
 		}
 	}
-	//bitflow:alloc-ok result slice escapes to the caller; returning a view of n.output would race with the next inference
-	out := make([]float32, len(n.output))
-	copy(out, n.output)
-	return out, nil
+	return nil
 }
 
 // LayerTiming records one layer's wall-clock contribution to a timed pass.
@@ -221,21 +235,21 @@ type LayerTiming struct {
 // InferTimed runs one forward pass and reports per-layer wall-clock times
 // (the input binarize+pack is reported as layer "input").
 func (n *Network) InferTimed(x *tensor.Tensor) ([]float32, []LayerTiming) {
-	ec := n.execCtx()
 	//bitflow:alloc-ok InferTimed is a diagnostic entry point, not the serving path; the timings report escapes
 	timings := make([]LayerTiming, 0, len(n.layers)+1)
-	t0 := time.Now()
-	n.feedInput(x)
-	//bitflow:alloc-ok diagnostic path, capacity reserved above
-	timings = append(timings, LayerTiming{Name: "input", Kind: "pack", Duration: time.Since(t0)})
-	for _, l := range n.layers {
-		t0 = time.Now()
-		l.forward(ec)
+	// The sweep reports "input" first, then the layers in order, so the
+	// i-th observation past the input is layer i-1.
+	obs := func(name, kind string, d time.Duration) {
+		t := LayerTiming{Name: name, Kind: kind, Duration: d}
+		if i := len(timings); i > 0 {
+			t.Units = n.layers[i-1].parallelUnits()
+		}
 		//bitflow:alloc-ok diagnostic path, capacity reserved above
-		timings = append(timings, LayerTiming{
-			Name: l.name(), Kind: l.kind(), Duration: time.Since(t0),
-			Units: l.parallelUnits(),
-		})
+		timings = append(timings, t)
+	}
+	xs := [1]*tensor.Tensor{x}
+	if err := n.sweep(xs[:], n.execCtx().WithContext(nil).WithObserver(obs)); err != nil {
+		panic(err.Error())
 	}
 	//bitflow:alloc-ok result slice escapes to the caller
 	out := make([]float32, len(n.output))
@@ -298,9 +312,12 @@ type convLayer struct {
 	lname   string
 	op      *core.Conv
 	in, out *bitpack.Packed
-	// press selects the kernel-compressed forward (see press.go). It is
-	// per layer, not per operator: clones sharing op can run either path.
-	press bool
+	// ins and outs are in and out across the network's lanes (see wire).
+	ins, outs []*bitpack.Packed
+	// press is the compression plan this network's forward runs with
+	// (see press.go), nil for the streaming kernels. It is per layer, not
+	// per operator: clones sharing op can run either path.
+	press *kernels.CompressPlan
 }
 
 func (l *convLayer) name() string { return l.lname }
@@ -309,12 +326,15 @@ func (l *convLayer) outDims() string {
 	s := l.op.Shape
 	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
 }
-func (l *convLayer) forward(ec *exec.Ctx) {
-	if l.press {
-		l.op.ForwardPackedCompressed(l.in, l.out, ec)
-		return
+func (l *convLayer) forward(B int, ec *exec.Ctx) {
+	l.op.ForwardFused(l.ins[:B], nil, l.press, l.outs[:B], ec)
+}
+func (l *convLayer) wire(lanes []layer) {
+	l.ins, l.outs = l.ins[:0], l.outs[:0]
+	for _, ln := range lanes {
+		c := ln.(*convLayer)
+		l.ins, l.outs = append(l.ins, c.in), append(l.outs, c.out)
 	}
-	l.op.ForwardPacked(l.in, l.out, ec)
 }
 func (l *convLayer) parallelUnits() int { return l.op.Shape.OutH * l.op.Shape.OutW }
 func (l *convLayer) weightStats() (int64, int64) {
@@ -322,11 +342,15 @@ func (l *convLayer) weightStats() (int64, int64) {
 	return int64(s.K) * int64(s.KH) * int64(s.KW) * int64(s.InC), 8 * int64(len(l.op.Filter().Words))
 }
 
+// floatConvLayer is the mixed-precision stem: float-bound, so it runs
+// image by image.
 type floatConvLayer struct {
 	lname string
 	op    *core.FloatConv
 	in    *tensor.Tensor // owned copy of the network's float input
 	out   *bitpack.Packed
+	ins   []*tensor.Tensor
+	outs  []*bitpack.Packed
 }
 
 func (l *floatConvLayer) name() string { return l.lname }
@@ -335,18 +359,32 @@ func (l *floatConvLayer) outDims() string {
 	s := l.op.Shape
 	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
 }
-func (l *floatConvLayer) forward(ec *exec.Ctx) { l.op.Forward(l.in, l.out, ec) }
-func (l *floatConvLayer) parallelUnits() int   { return l.op.Shape.OutH * l.op.Shape.OutW }
+func (l *floatConvLayer) forward(B int, ec *exec.Ctx) {
+	for b := 0; b < B; b++ {
+		l.op.Forward(l.ins[b], l.outs[b], ec)
+	}
+}
+func (l *floatConvLayer) wire(lanes []layer) {
+	l.ins, l.outs = l.ins[:0], l.outs[:0]
+	for _, ln := range lanes {
+		c := ln.(*floatConvLayer)
+		l.ins, l.outs = append(l.ins, c.in), append(l.outs, c.out)
+	}
+}
+func (l *floatConvLayer) parallelUnits() int { return l.op.Shape.OutH * l.op.Shape.OutW }
 func (l *floatConvLayer) weightStats() (int64, int64) {
 	s := l.op.Shape
 	w := int64(s.K) * int64(s.KH) * int64(s.KW) * int64(s.InC)
 	return w, 4 * w // kept in float32
 }
 
+// poolLayer is a max-pool left unfused: weightless, so it runs image by
+// image.
 type poolLayer struct {
-	lname   string
-	op      *core.Pool
-	in, out *bitpack.Packed
+	lname     string
+	op        *core.Pool
+	in, out   *bitpack.Packed
+	ins, outs []*bitpack.Packed
 }
 
 func (l *poolLayer) name() string { return l.lname }
@@ -355,7 +393,18 @@ func (l *poolLayer) outDims() string {
 	s := l.op.Shape
 	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
 }
-func (l *poolLayer) forward(ec *exec.Ctx)        { l.op.Forward(l.in, l.out, ec) }
+func (l *poolLayer) forward(B int, ec *exec.Ctx) {
+	for b := 0; b < B; b++ {
+		l.op.Forward(l.ins[b], l.outs[b], ec)
+	}
+}
+func (l *poolLayer) wire(lanes []layer) {
+	l.ins, l.outs = l.ins[:0], l.outs[:0]
+	for _, ln := range lanes {
+		c := ln.(*poolLayer)
+		l.ins, l.outs = append(l.ins, c.in), append(l.outs, c.out)
+	}
+}
 func (l *poolLayer) weightStats() (int64, int64) { return 0, 0 }
 func (l *poolLayer) parallelUnits() int          { return l.op.Shape.OutH * l.op.Shape.OutW }
 
@@ -370,28 +419,38 @@ type denseLayer struct {
 	packedOut []uint64
 	floatOut  []float32
 
-	// tmp is the K-length pre-activation scratch, allocated at build
-	// time (per clone — the shared operator carries no mutable state).
-	tmp []int32
+	// ins, packedOuts and floatOuts are the buffers above across the
+	// network's lanes (see wire); scratch is sized to the lane count
+	// when wired, per network — the shared operator carries no mutable
+	// state.
+	ins, packedOuts [][]uint64
+	floatOuts       [][]float32
+	scratch         core.DenseScratch
 
-	// press selects the kernel-compressed forward (see press.go).
-	press bool
+	// press is the compression plan this network's forward runs with
+	// (see press.go), nil for the streaming kernels.
+	press *kernels.CompressPlan
 }
 
 func (l *denseLayer) name() string    { return l.lname }
 func (l *denseLayer) kind() string    { return "fc" }
 func (l *denseLayer) outDims() string { return fmt.Sprintf("%d", l.op.Shape.K) }
-func (l *denseLayer) forward(ec *exec.Ctx) {
-	switch {
-	case l.floatOut != nil && l.press:
-		l.op.ForwardFloatCompressed(l.in, l.floatOut, l.tmp, ec)
-	case l.floatOut != nil:
-		l.op.ForwardFloat(l.in, l.floatOut, l.tmp, ec)
-	case l.press:
-		l.op.ForwardPackedCompressed(l.in, l.packedOut, l.tmp, ec)
-	default:
-		l.op.ForwardPacked(l.in, l.packedOut, l.tmp, ec)
+func (l *denseLayer) forward(B int, ec *exec.Ctx) {
+	if l.floatOut != nil {
+		l.op.ForwardFloat(l.ins[:B], l.floatOuts[:B], l.press, &l.scratch, ec)
+		return
 	}
+	l.op.ForwardPacked(l.ins[:B], l.packedOuts[:B], l.press, &l.scratch, ec)
+}
+func (l *denseLayer) wire(lanes []layer) {
+	l.ins, l.packedOuts, l.floatOuts = l.ins[:0], l.packedOuts[:0], l.floatOuts[:0]
+	for _, ln := range lanes {
+		c := ln.(*denseLayer)
+		l.ins = append(l.ins, c.in)
+		l.packedOuts = append(l.packedOuts, c.packedOut)
+		l.floatOuts = append(l.floatOuts, c.floatOut)
+	}
+	l.scratch.Ensure(l.op, len(lanes))
 }
 func (l *denseLayer) weightStats() (int64, int64) {
 	s := l.op.Shape

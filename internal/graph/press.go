@@ -11,11 +11,11 @@ import (
 // across output channels, and operators whose duplication ratio clears
 // kernels.CompressMinRatio carry a CompressPlan compiled at
 // construction (see core.NewConvPacked / core.NewDensePacked). The pass
-// below is the graph half: it marks, per layer, whether this network's
-// forward actually takes the compressed path. The flag lives on the
-// layer — not the operator — so lanes and clones sharing the read-only
-// operators can run either path, which is what the differential harness
-// (CloneUncompressed) compares against.
+// below is the graph half: it hands each layer the plan its forward
+// accumulates through, or nil to stream the packed weights. The plan
+// pointer lives on the layer — not the operator — so lanes and clones
+// sharing the read-only operators can run either path, which is what the
+// differential harness (CloneUncompressed) compares against.
 //
 // Like fusion, compression is pure runtime planning: it runs at build
 // *and* load time off the packed weights, the serialized format carries
@@ -52,11 +52,11 @@ func (n *Network) Compression() []LayerCompression {
 		var selected bool
 		switch t := l.(type) {
 		case *convLayer:
-			st, selected = t.op.CompressionStats(), t.press
+			st, selected = t.op.CompressionStats(), t.press != nil
 		case *fusedConvPoolLayer:
-			st, selected = t.conv.CompressionStats(), t.press
+			st, selected = t.conv.CompressionStats(), t.press != nil
 		case *denseLayer:
-			st, selected = t.op.CompressionStats(), t.press
+			st, selected = t.op.CompressionStats(), t.press != nil
 		default:
 			continue
 		}
@@ -86,18 +86,18 @@ func (n *Network) CompressedLayers() int {
 // (regardless of whether any layer cleared the threshold).
 func (n *Network) Compressed() bool { return !n.uncompressed }
 
-// press is the planning pass: mark every layer whose shared operator
-// carries a compression plan. Runs at build and load time (and inside
-// Clone, so lanes inherit the parent's selection).
+// press is the planning pass: every layer whose shared operator carries
+// a compression plan runs with it. Runs at build and load time (and
+// inside Clone, so lanes inherit the parent's selection).
 func (n *Network) press() {
 	for _, l := range n.layers {
 		switch t := l.(type) {
 		case *convLayer:
-			t.press = t.op.Compression() != nil
+			t.press = t.op.Compression()
 		case *fusedConvPoolLayer:
-			t.press = t.conv.Compression() != nil
+			t.press = t.conv.Compression()
 		case *denseLayer:
-			t.press = t.op.Compression() != nil
+			t.press = t.op.Compression()
 		}
 	}
 }
@@ -136,7 +136,6 @@ func (n *Network) CloneUncompressed() *Network {
 	if err != nil {
 		panic(fmt.Sprintf("graph: CloneUncompressed of a compiled network failed: %v", err))
 	}
-	clone.Threads = n.Threads
 	clone.ec = n.ec
 	return clone
 }

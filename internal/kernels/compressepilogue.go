@@ -51,25 +51,23 @@ func finishPreacts(cp *CompressPlan, acc []int32, n32 int32) {
 
 // CompressedConvEpilogue is the compressed ConvEpilogue: one output
 // pixel's accumulate→threshold→set-bit ladder through the compression
-// plan, overwriting dst fully (trailing words cleared). rows holds the
-// KH gathered input row segments (rowLen words each), acc is caller-
-// owned K-length popcount scratch.
-func CompressedConvEpilogue(cp *CompressPlan, rows [][]uint64, rowLen int, n32 int32, e *Epilogue, acc []int32, dst []uint64) {
+// plan. rows holds the KH gathered input row segments (rowLen words
+// each), acc is caller-owned K-length popcount scratch. With or false
+// dst is overwritten fully (trailing words cleared); with or true the
+// threshold bits OR into dst — the remaining positions of a pool window
+// (max-pool commutes with sign). Unlike ConvEpilogueOr there is no
+// per-filter saturation skip: the compressed accumulate is
+// position-major, so all channels are produced together; the plan is
+// only selected when its duplication ratio already beats the skip's
+// average savings.
+func CompressedConvEpilogue(cp *CompressPlan, rows [][]uint64, rowLen int, n32 int32, e *Epilogue, acc []int32, dst []uint64, or bool) {
 	compressedRowsAccum(cp, rows, rowLen, acc)
 	finishPreacts(cp, acc, n32)
+	if or {
+		e.PackOr(acc, dst)
+		return
+	}
 	e.Pack(acc, dst)
-}
-
-// CompressedConvEpilogueOr is CompressedConvEpilogue for the remaining
-// positions of a pool window: threshold bits OR into dst (max-pool
-// commutes with sign). Unlike ConvEpilogueOr there is no per-filter
-// saturation skip — the compressed accumulate is position-major, so all
-// channels are produced together; the plan is only selected when its
-// duplication ratio already beats the skip's average savings.
-func CompressedConvEpilogueOr(cp *CompressPlan, rows [][]uint64, rowLen int, n32 int32, e *Epilogue, acc []int32, dst []uint64) {
-	compressedRowsAccum(cp, rows, rowLen, acc)
-	finishPreacts(cp, acc, n32)
-	e.PackOr(acc, dst)
 }
 
 // compressedBatchAccum accumulates B gathered receptive fields (cp.S
@@ -99,29 +97,22 @@ func compressedBatchAccum(cp *CompressPlan, gather []uint64, n32 int32, accK []i
 
 // CompressedConvBatchEpilogue is the compressed ConvBatchEpilogue: one
 // output pixel across B images, each image's receptive field walked
-// through the plan once, packed bits overwritten per image. accK is
-// caller-owned B*K flat scratch; out receives B packed pixels of outWPP
-// words each.
-func CompressedConvBatchEpilogue(cp *CompressPlan, gather []uint64, n32 int32, e *Epilogue, accK []int32, out []uint64, outWPP int) {
+// through the plan once. accK is caller-owned B*K flat scratch; out
+// receives B packed pixels of outWPP words each, overwritten per image,
+// or ORed into when or is set (the remaining positions of a pool
+// window).
+func CompressedConvBatchEpilogue(cp *CompressPlan, gather []uint64, n32 int32, e *Epilogue, accK []int32, out []uint64, outWPP int, or bool) {
 	B := compressedBatchAccum(cp, gather, n32, accK)
 	if len(out) != B*outWPP || outWPP < bitpack.WordsFor(e.K) {
 		panicSize("CompressedConvBatchEpilogue", "out", len(out), B*outWPP)
 	}
 	k := cp.K
 	for b := 0; b < B; b++ {
-		e.Pack(accK[b*k:(b+1)*k], out[b*outWPP:(b+1)*outWPP]) //bitflow:bce-ok one slice pair per image; shapes pinned by the preambles
-	}
-}
-
-// CompressedConvBatchEpilogueOr is CompressedConvBatchEpilogue for the
-// remaining positions of a pool window: bits OR into out (no clear).
-func CompressedConvBatchEpilogueOr(cp *CompressPlan, gather []uint64, n32 int32, e *Epilogue, accK []int32, out []uint64, outWPP int) {
-	B := compressedBatchAccum(cp, gather, n32, accK)
-	if len(out) != B*outWPP || outWPP < bitpack.WordsFor(e.K) {
-		panicSize("CompressedConvBatchEpilogueOr", "out", len(out), B*outWPP)
-	}
-	k := cp.K
-	for b := 0; b < B; b++ {
-		e.PackOr(accK[b*k:(b+1)*k], out[b*outWPP:(b+1)*outWPP]) //bitflow:bce-ok one slice pair per image; shapes pinned by the preambles
+		acc, dst := accK[b*k:(b+1)*k], out[b*outWPP:(b+1)*outWPP] //bitflow:bce-ok one slice pair per image; shapes pinned by the preambles
+		if or {
+			e.PackOr(acc, dst)
+		} else {
+			e.Pack(acc, dst)
+		}
 	}
 }

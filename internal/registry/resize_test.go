@@ -147,11 +147,21 @@ func TestResizeSerializesWithSwap(t *testing.T) {
 	// behind it on the reload lock, never interleave.
 	verifying := make(chan struct{})
 	finish := make(chan struct{})
-	var swapDone, resizeDone atomic.Int64
-	seq := make(chan string, 2)
+	var resizeDone atomic.Int64
+	// order is recorded inside the serialized sections themselves — the
+	// end of the swap's verification and the resize of the new set — so
+	// goroutine scheduling after either call returns cannot reorder it.
+	var orderMu sync.Mutex
+	var order []string
+	record := func(step string) {
+		orderMu.Lock()
+		order = append(order, step)
+		orderMu.Unlock()
+	}
 
 	next := &resizableSet{fakeSet: fakeSet{ver: "v2"}}
 	next.replicas.Store(2)
+	next.onResize = func(int) { record("resize") }
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -159,13 +169,12 @@ func TestResizeSerializesWithSwap(t *testing.T) {
 		_, err := m.Swap(context.Background(), next, func(ReplicaSet) error {
 			close(verifying)
 			<-finish
+			record("swap")
 			return nil
 		})
 		if err != nil {
 			t.Errorf("swap: %v", err)
 		}
-		swapDone.Store(1)
-		seq <- "swap"
 	}()
 	<-verifying
 	go func() {
@@ -174,7 +183,6 @@ func TestResizeSerializesWithSwap(t *testing.T) {
 			t.Errorf("resize: %v", err)
 		}
 		resizeDone.Store(1)
-		seq <- "resize"
 	}()
 
 	// Give the resize a chance to (incorrectly) run while the swap's
@@ -185,8 +193,8 @@ func TestResizeSerializesWithSwap(t *testing.T) {
 	}
 	close(finish)
 	wg.Wait()
-	if first := <-seq; first != "swap" {
-		t.Fatalf("completion order started with %q, want swap then resize", first)
+	if len(order) != 2 || order[0] != "swap" || order[1] != "resize" {
+		t.Fatalf("serialized order %q, want swap then resize", order)
 	}
 	// The resize landed on the NEW version's set.
 	if next.Replicas() != 3 {

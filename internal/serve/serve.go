@@ -79,9 +79,8 @@ type Config struct {
 	// Exec is the base execution context attached to every replica: the
 	// shared dispatch pool plus the per-inference thread budget. All
 	// replicas dispatch onto this one context, so total parallelism is
-	// bounded by its pool no matter how many replicas run. nil derives a
-	// context from the network's Threads field on the process-wide
-	// default pool (the legacy behavior).
+	// bounded by its pool no matter how many replicas run. nil runs
+	// every replica serially.
 	Exec *exec.Ctx
 
 	// Autoscale, when non-nil, runs the adaptive serving loop for this
@@ -152,7 +151,7 @@ func (b netBackend) clone() backend { return netBackend{net: b.net.Clone()} }
 
 func (b netBackend) attachExec(base *exec.Ctx, obs exec.Observer) *exec.Ctx {
 	if base == nil {
-		base = exec.Threads(b.net.Threads)
+		base = exec.Serial()
 	}
 	ec := base.WithObserver(obs)
 	b.net.SetExec(ec)
